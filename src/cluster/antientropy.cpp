@@ -11,13 +11,6 @@ namespace numastream {
 namespace cluster {
 namespace {
 
-void count(PaddedCounter ScrubCounters::*field,
-           ScrubCounters* counters, std::uint64_t amount = 1) {
-  if (counters != nullptr && amount != 0) {
-    (counters->*field).fetch_add(amount, std::memory_order_relaxed);
-  }
-}
-
 /// The reply kind a request kind is answered with; requests that expect no
 /// data reply (pushes) get kRepairReply.
 ScrubKind reply_kind_for(ScrubKind kind) {
@@ -141,7 +134,7 @@ Result<Message> ScrubServer::handle(const Message& frame) {
     // The fence: this replica has been promoted past the sender. Serve no
     // digests and install no pushes; the reply's higher epoch tells the
     // stale scrubber to stop.
-    count(&ScrubCounters::fenced_scrubs_rejected, counters_);
+    bump(&ScrubCounters::fenced_scrubs_rejected, counters_);
     reply.epoch = epoch_;
     return Message::scrub_frame(reply, frame.sequence);
   }
@@ -161,8 +154,8 @@ Result<Message> ScrubServer::handle(const Message& frame) {
     case ScrubKind::kRepairPull: {
       const ByteSpan bytes = range_bytes(journal, info.range, range_records_);
       reply.records.assign(bytes.begin(), bytes.end());
-      count(&ScrubCounters::records_pushed, counters_,
-            bytes.size() / kJournalRecordSize);
+      bump(&ScrubCounters::records_pushed, counters_,
+           bytes.size() / kJournalRecordSize);
       break;
     }
     case ScrubKind::kRepairPush: {
@@ -172,7 +165,7 @@ Result<Message> ScrubServer::handle(const Message& frame) {
       // the pusher as a zero-count reply.
       const ByteSpan records(info.records.data(), info.records.size());
       if (!records_verify(records)) {
-        count(&ScrubCounters::repair_verify_failures, counters_);
+        bump(&ScrubCounters::repair_verify_failures, counters_);
         break;
       }
       NS_RETURN_IF_ERROR(media_.write_at(
@@ -180,7 +173,7 @@ Result<Message> ScrubServer::handle(const Message& frame) {
               kJournalRecordSize,
           records));
       const std::uint64_t installed = records.size() / kJournalRecordSize;
-      count(&ScrubCounters::records_pulled, counters_, installed);
+      bump(&ScrubCounters::records_pulled, counters_, installed);
       // Echo the installed records back so the pusher can distinguish
       // "installed N" from "refused".
       reply.records = info.records;
@@ -240,7 +233,7 @@ Result<ScrubInfo> AntiEntropyScrubber::exchange_checked(
     // The buddy has been promoted past us: stop scrubbing immediately. A
     // fenced primary that kept "repairing" the new primary's replica would
     // be overwriting the authoritative copy with stale bytes.
-    count(&ScrubCounters::fenced_scrubs_rejected, counters_);
+    bump(&ScrubCounters::fenced_scrubs_rejected, counters_);
     return data_loss_error(
         "anti-entropy: fenced (buddy is at epoch " +
         std::to_string(info.value().epoch) + ", this scrubber is at " +
@@ -273,18 +266,18 @@ Status AntiEntropyScrubber::repair_range(std::uint64_t range, bool local_clean,
       // The buddy refused the push (its verification failed) — with our
       // side clean that should be impossible, so count and move on; the
       // next round retries.
-      count(&ScrubCounters::repair_verify_failures, counters_);
+      bump(&ScrubCounters::repair_verify_failures, counters_);
       return Status();
     }
-    count(&ScrubCounters::records_pushed, counters_,
-          push.records.size() / kJournalRecordSize);
+    bump(&ScrubCounters::records_pushed, counters_,
+         push.records.size() / kJournalRecordSize);
     return Status();
   }
 
   if (theirs == nullptr || theirs->records == 0) {
     // Our copy is corrupt and the buddy has nothing for this range: there
     // is no clean source anywhere in the federation.
-    count(&ScrubCounters::ranges_unrepairable, counters_);
+    bump(&ScrubCounters::ranges_unrepairable, counters_);
     return Status();
   }
 
@@ -307,15 +300,15 @@ Status AntiEntropyScrubber::repair_range(std::uint64_t range, bool local_clean,
   if (records.size() / kJournalRecordSize != theirs->records ||
       !records_verify(pulled) ||
       xxhash32(pulled) != theirs->digest) {
-    count(&ScrubCounters::repair_verify_failures, counters_);
-    count(&ScrubCounters::ranges_unrepairable, counters_);
+    bump(&ScrubCounters::repair_verify_failures, counters_);
+    bump(&ScrubCounters::ranges_unrepairable, counters_);
     return Status();
   }
   NS_RETURN_IF_ERROR(local_.write_at(
       range * static_cast<std::uint64_t>(config_.range_records) *
           kJournalRecordSize,
       pulled));
-  count(&ScrubCounters::records_pulled, counters_, theirs->records);
+  bump(&ScrubCounters::records_pulled, counters_, theirs->records);
   if (local_scrubber_ != nullptr) {
     // The repair overwrote the quarantined bytes; re-verify so the
     // quarantine lifts (and ranges_repaired counts) in the same round.
@@ -345,14 +338,14 @@ Status AntiEntropyScrubber::run_round() {
     return reply.status();
   }
   const std::vector<ScrubRangeDigest>& theirs = reply.value().digests;
-  count(&ScrubCounters::digest_rounds, counters_);
+  bump(&ScrubCounters::digest_rounds, counters_);
 
   const std::uint64_t ranges =
       std::max<std::uint64_t>(ours.size(), theirs.size());
   int repairs = 0;
   for (std::uint64_t range = 0;
        range < ranges && repairs < config_.repair_concurrency; ++range) {
-    count(&ScrubCounters::ranges_compared, counters_);
+    bump(&ScrubCounters::ranges_compared, counters_);
     const ScrubRangeDigest* mine =
         range < ours.size() ? &ours[range] : nullptr;
     const ScrubRangeDigest* buddys =
@@ -360,7 +353,7 @@ Status AntiEntropyScrubber::run_round() {
     if (mine != nullptr && buddys != nullptr && *mine == *buddys) {
       continue;
     }
-    count(&ScrubCounters::ranges_diverged, counters_);
+    bump(&ScrubCounters::ranges_diverged, counters_);
     const ByteSpan local_bytes =
         range_bytes(journal, range, config_.range_records);
     const bool local_clean = records_verify(local_bytes);

@@ -61,26 +61,24 @@ class ByteWriter {
   explicit ByteWriter(Bytes& out) noexcept : out_(out) {}
 
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    const std::size_t n = out_.size();
-    out_.resize(n + 2);
-    store_le16(out_.data() + n, v);
-  }
-  void u32(std::uint32_t v) {
-    const std::size_t n = out_.size();
-    out_.resize(n + 4);
-    store_le32(out_.data() + n, v);
-  }
-  void u64(std::uint64_t v) {
-    const std::size_t n = out_.size();
-    out_.resize(n + 8);
-    store_le64(out_.data() + n, v);
-  }
+  void u16(std::uint16_t v) { le(v); }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
   void raw(ByteSpan data) { out_.insert(out_.end(), data.begin(), data.end()); }
 
   [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }
 
  private:
+  // One push_back per byte, least significant first. Resize-then-store and
+  // range inserts of a few bytes both trip GCC 12's -Wstringop-overflow at
+  // -O3 (a false positive on the grown buffer), which -Werror makes fatal.
+  template <typename T>
+  void le(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+
   Bytes& out_;
 };
 

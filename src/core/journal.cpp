@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 
@@ -20,13 +19,6 @@ constexpr std::size_t kChecksumOffset = kJournalRecordSize - 4;
 [[nodiscard]] bool valid_record_type(std::uint8_t type) {
   return type >= static_cast<std::uint8_t>(JournalRecordType::kSession) &&
          type <= static_cast<std::uint8_t>(JournalRecordType::kDelivered);
-}
-
-void count(std::atomic<std::uint64_t> ResumeCounters::*field,
-           ResumeCounters* counters, std::uint64_t amount = 1) {
-  if (counters != nullptr && amount != 0) {
-    (counters->*field).fetch_add(amount, std::memory_order_relaxed);
-  }
 }
 
 // Seeded position generator for the rot injectors: splitmix64, so the same
@@ -413,7 +405,7 @@ Status SenderJournal::append_record(const JournalRecord& record) {
   const Bytes encoded = encode_journal_record(record);
   NS_RETURN_IF_ERROR(media_.append(encoded));
   NS_RETURN_IF_ERROR(media_.flush());
-  count(&ResumeCounters::journal_records_written, counters_);
+  bump(&ResumeCounters::journal_records_written, counters_);
   return Status();
 }
 
@@ -424,7 +416,7 @@ Status SenderJournal::recover() {
     return data.status();
   }
   const JournalScan scan = scan_journal(data.value());
-  count(&ResumeCounters::torn_records_truncated, counters_, scan.torn_records);
+  bump(&ResumeCounters::torn_records_truncated, counters_, scan.torn_records);
   if (scan.records.empty()) {
     recovered_ = true;
     return append_record(JournalRecord{.type = JournalRecordType::kSession,
@@ -461,8 +453,8 @@ Status SenderJournal::recover() {
         break;  // foreign record types are ignored, not fatal
     }
   }
-  count(&ResumeCounters::journal_records_replayed, counters_,
-        scan.records.size());
+  bump(&ResumeCounters::journal_records_replayed, counters_,
+       scan.records.size());
   recovered_ = true;
   return Status();
 }
@@ -545,7 +537,7 @@ Status ReceiverJournal::append_record(const JournalRecord& record) {
   const Bytes encoded = encode_journal_record(record);
   NS_RETURN_IF_ERROR(media_.append(encoded));
   NS_RETURN_IF_ERROR(media_.flush());
-  count(&ResumeCounters::journal_records_written, counters_);
+  bump(&ResumeCounters::journal_records_written, counters_);
   return Status();
 }
 
@@ -569,7 +561,7 @@ Status ReceiverJournal::recover() {
     return data.status();
   }
   const JournalScan scan = scan_journal(data.value());
-  count(&ResumeCounters::torn_records_truncated, counters_, scan.torn_records);
+  bump(&ResumeCounters::torn_records_truncated, counters_, scan.torn_records);
   if (scan.records.empty()) {
     recovered_ = true;
     return append_record(JournalRecord{.type = JournalRecordType::kSession,
@@ -589,8 +581,8 @@ Status ReceiverJournal::recover() {
       commit_locked(record.stream_id, record.sequence);
     }
   }
-  count(&ResumeCounters::journal_records_replayed, counters_,
-        scan.records.size());
+  bump(&ResumeCounters::journal_records_replayed, counters_,
+       scan.records.size());
   recovered_ = true;
   return Status();
 }

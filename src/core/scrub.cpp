@@ -1,7 +1,6 @@
 #include "core/scrub.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "codec/xxhash.h"
 
@@ -9,13 +8,6 @@ namespace numastream {
 namespace {
 
 constexpr std::size_t kChecksumOffset = kJournalRecordSize - 4;
-
-void count(PaddedCounter ScrubCounters::*field,
-           ScrubCounters* counters, std::uint64_t amount = 1) {
-  if (counters != nullptr && amount != 0) {
-    (counters->*field).fetch_add(amount, std::memory_order_relaxed);
-  }
-}
 
 }  // namespace
 
@@ -49,7 +41,7 @@ JournalScrubber::JournalScrubber(JournalMedia& media,
 
 void JournalScrubber::quarantine_locked(std::uint64_t range) {
   if (quarantined_.insert(range).second) {
-    count(&ScrubCounters::ranges_quarantined, counters_);
+    bump(&ScrubCounters::ranges_quarantined, counters_);
   }
 }
 
@@ -74,14 +66,14 @@ Status JournalScrubber::tick() {
       std::min<std::uint64_t>(config_.budget_records, total - cursor_);
   for (const std::uint64_t index :
        find_corrupt_records(journal, cursor_, window)) {
-    count(&ScrubCounters::corrupt_records_found, counters_);
+    bump(&ScrubCounters::corrupt_records_found, counters_);
     quarantine_locked(index / config_.range_records);
   }
-  count(&ScrubCounters::records_scanned, counters_, window);
+  bump(&ScrubCounters::records_scanned, counters_, window);
   cursor_ += window;
   if (cursor_ >= total) {
     cursor_ = 0;
-    count(&ScrubCounters::scrub_passes, counters_);
+    bump(&ScrubCounters::scrub_passes, counters_);
   }
   return Status();
 }
@@ -108,7 +100,7 @@ bool JournalScrubber::reverify(std::uint64_t range) {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   if (quarantined_.erase(range) != 0) {
-    count(&ScrubCounters::ranges_repaired, counters_);
+    bump(&ScrubCounters::ranges_repaired, counters_);
     return true;
   }
   return false;

@@ -12,58 +12,46 @@
 //
 // Counters are relaxed atomics, each padded to its own cache line
 // (PaddedCounter): compressors, senders, receivers and decompressors all
-// bump their own members on the hot path.
+// bump their own members on the hot path. The list below generates them,
+// the comparable snapshot() struct and fastpath_table() through the ledger
+// schema (metrics/ledger.h).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <string>
+#include "metrics/ledger.h"
 
-#include "metrics/padded_counter.h"
-#include "metrics/table.h"
+// The ring traffic first, then the pool's lease lifecycle in the order a
+// buffer experiences it.
+#define NS_FASTPATH_COUNTERS(X)                                              \
+  /* Ring handoffs. */                                                       \
+  X(ring_pushes, "elements through the fan-in rings")                        \
+  X(ring_parks, "waits that actually parked a thread")                       \
+  /* Pool traffic. */                                                        \
+  X(pool_leases, "buffers handed out")                                       \
+  X(pool_hits, "leases served by recycling")                                 \
+  X(pool_misses, "leases that had to allocate")                              \
+  X(pool_recycles, "buffers returned and shelved")                           \
+  X(pool_discards, "returns dropped (shelf full)")
 
 namespace numastream {
 
 /// Plain-value copy of FastPathCounters, comparable and printable.
 struct FastPathCountersSnapshot {
-  // Ring handoffs.
-  std::uint64_t ring_pushes = 0;      ///< elements through the fan-in rings
-  std::uint64_t ring_parks = 0;       ///< waits that actually parked a thread
-
-  // Pool traffic.
-  std::uint64_t pool_leases = 0;      ///< buffers handed out
-  std::uint64_t pool_hits = 0;        ///< leases served by recycling
-  std::uint64_t pool_misses = 0;      ///< leases that had to allocate
-  std::uint64_t pool_recycles = 0;    ///< buffers returned and shelved
-  std::uint64_t pool_discards = 0;    ///< returns dropped (shelf full)
-
-  friend bool operator==(const FastPathCountersSnapshot&,
-                         const FastPathCountersSnapshot&) = default;
-
-  /// One-line summary of the nonzero counters ("clean" when all zero).
-  [[nodiscard]] std::string to_string() const;
+  NS_LEDGER_SNAPSHOT(FastPathCountersSnapshot, NS_FASTPATH_COUNTERS)
 };
 
 /// Thread-safe counter set shared by the fan-in queues and the chunk pool.
-/// All increments are relaxed: counters are statistics, not synchronization.
 class FastPathCounters {
  public:
-  PaddedCounter ring_pushes;
-  PaddedCounter ring_parks;
-
-  PaddedCounter pool_leases;
-  PaddedCounter pool_hits;
-  PaddedCounter pool_misses;
-  PaddedCounter pool_recycles;
-  PaddedCounter pool_discards;
-
-  [[nodiscard]] FastPathCountersSnapshot snapshot() const;
+  NS_LEDGER_COUNTERS(FastPathCounters, FastPathCountersSnapshot,
+                     NS_FASTPATH_COUNTERS)
 };
 
 /// Renders a snapshot as a two-column table ("counter", "count"). With
 /// `nonzero_only`, clean counters are elided so fastpath-off runs print
 /// nothing.
-TextTable fastpath_table(const FastPathCountersSnapshot& snapshot,
-                         bool nonzero_only = false);
+inline TextTable fastpath_table(const FastPathCountersSnapshot& snapshot,
+                                bool nonzero_only = false) {
+  return ledger_table(snapshot, nonzero_only);
+}
 
 }  // namespace numastream

@@ -1,19 +1,17 @@
 // PaddedCounter: a cache-line-isolated atomic counter.
 //
-// The hot counter blocks in this directory (FederationCounters,
-// FaultCounters, OverloadCounters, ScrubCounters) pack a dozen-plus
-// adjacent std::atomic<uint64_t> members — 8 counters per 64-byte line.
-// Different pipeline threads increment different members, so physically
-// independent counters ping-pong the same line between cores: classic
-// false sharing, measured at several-x on the counter-increment micro in
-// bench/micro_queue (BM_CounterIncrement vs BM_PaddedCounterIncrement).
+// The counter ledgers (metrics/ledger.h) are blocks of a dozen-plus
+// adjacent counters. Packed as plain std::atomic<uint64_t> members that is
+// 8 counters per 64-byte line, and different pipeline threads increment
+// different members, so physically independent counters ping-pong the same
+// line between cores: classic false sharing, measured at several-x on the
+// counter-increment micro in bench/micro_queue (BM_CounterIncrement vs
+// BM_PaddedCounterIncrement).
 //
-// PaddedCounter is a drop-in member replacement: it IS-A
-// std::atomic<uint64_t> (fetch_add / load / store call sites unchanged)
-// whose alignment pads it to a full cache line, so each write-hot counter
-// owns its line. Use it for counters bumped from several threads on the
-// hot path; cold or single-threaded counters can stay packed — padding
-// them only costs memory.
+// PaddedCounter IS-A std::atomic<uint64_t> (fetch_add / load / store call
+// sites unchanged) whose alignment pads it to a full cache line, so each
+// counter owns its line. The ledger schema generates every ledger member as
+// one, so all eight ledgers share this single storage type.
 #pragma once
 
 #include <atomic>

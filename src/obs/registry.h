@@ -1,7 +1,8 @@
 // MetricsRegistry: one flat namespace over every number the runtime tracks.
 //
-// The pipeline already keeps three counter ledgers (fault, overload, health)
-// plus ad-hoc gauges scattered through the stages — queue depths, credit
+// The runtime keeps eight counter ledgers (metrics/ledger.h: fault,
+// overload, health, resume, federation, scrub, fastpath, chaos) plus ad-hoc
+// gauges scattered through the stages — queue depths, credit
 // occupancy, budget bytes in flight. Each is observable on its own, but
 // correlating them ("did the queue spike when the credit window closed?")
 // required hand-stitching snapshots. The registry unifies them: counters and
@@ -30,10 +31,6 @@
 
 namespace numastream {
 class TextTable;
-class FaultCounters;
-class OverloadCounters;
-class HealthCounters;
-class ResumeCounters;
 }  // namespace numastream
 
 namespace numastream::obs {
@@ -71,13 +68,17 @@ class MetricsRegistry {
   /// Removes a metric; unknown names are a no-op (teardown is idempotent).
   void unregister(const std::string& name);
 
-  /// Registers every counter of the ledger under "<prefix>.<counter>".
-  /// Fails atomically: either all names register or none do.
-  Status register_fault_counters(const std::string& prefix, const FaultCounters& counters);
-  Status register_overload_counters(const std::string& prefix,
-                                    const OverloadCounters& counters);
-  Status register_health_counters(const std::string& prefix, const HealthCounters& counters);
-  Status register_resume_counters(const std::string& prefix, const ResumeCounters& counters);
+  /// Registers every counter of a ledger (metrics/ledger.h) under
+  /// "<prefix>.<counter>". Fails atomically: either all names register or
+  /// none do.
+  template <typename Counters>
+  Status register_ledger(const std::string& prefix, const Counters& counters) {
+    std::vector<CounterEntry> batch;
+    for (const auto& field : Counters::fields()) {
+      batch.push_back({prefix + "." + field.name, &(counters.*field.member)});
+    }
+    return register_counters(batch);
+  }
 
   [[nodiscard]] std::size_t size() const;
 
@@ -85,7 +86,13 @@ class MetricsRegistry {
   [[nodiscard]] MetricsSnapshot snapshot(double time_seconds) const;
 
  private:
+  struct CounterEntry {
+    std::string name;
+    const std::atomic<std::uint64_t>* counter;
+  };
+  Status register_counters(const std::vector<CounterEntry>& batch);
   Status register_locked(std::string name, std::function<double()> read);
+  void unregister_locked(const std::string& name);
 
   mutable std::mutex mutex_;
   struct Entry {

@@ -229,7 +229,7 @@ TEST(MetricsRegistryTest, LedgerRegistrationIsPrefixedAndAtomic) {
   MetricsRegistry registry;
   FaultCounters faults;
   faults.reconnects.fetch_add(3);
-  ASSERT_TRUE(registry.register_fault_counters("fault", faults).is_ok());
+  ASSERT_TRUE(registry.register_ledger("fault", faults).is_ok());
   const auto snap = registry.snapshot(0);
   EXPECT_DOUBLE_EQ(snap.value("fault.reconnects"), 3.0);
   EXPECT_TRUE(snap.has("fault.corrupt_frames"));
@@ -238,7 +238,7 @@ TEST(MetricsRegistryTest, LedgerRegistrationIsPrefixedAndAtomic) {
   MetricsRegistry clashing;
   std::atomic<std::uint64_t> squatter{0};
   ASSERT_TRUE(clashing.register_counter("fault.reconnects", &squatter).is_ok());
-  EXPECT_FALSE(clashing.register_fault_counters("fault", faults).is_ok());
+  EXPECT_FALSE(clashing.register_ledger("fault", faults).is_ok());
   EXPECT_EQ(clashing.size(), 1U);  // only the squatter remains
 }
 
