@@ -27,13 +27,24 @@
 //   scrub cadence_ms=<n> [range_records=<n>] [budget_records=<n>]
 //         [repair_concurrency=<n>]
 //   fastpath [rings=on|off] [pool_buffers=<n>]
-//   chaos seed=<n> [episodes=<n>] [events=<n>] [probes=on|off]
 //   task <type> count=<n> exec=<domain|os>[,<domain|os>...] mem=<domain|os> [stream=<id>]
 //
 // Every directive except `priority` and `task` may appear at most once —
 // `node`, `role`, `codec`, `chunk_bytes` and `queue_capacity` included,
 // not just the policy blocks; a duplicate is a parse error (silent
 // last-wins hid config merge mistakes).
+//
+// Values are checked whole: a number must fill its field's own type with
+// nothing left over (`-1` is no `<n>`, `12abc` is no number, 2^32 does not
+// fit a 32-bit field), a single-value directive takes exactly one word, and
+// doubles are written in their shortest round-trip form so that
+// parse(serialize(c)) == c.
+//
+// Everything but `priority` and `task` is one table, directives() below:
+// one descriptor per directive naming the NodeConfig member it fills and
+// one row per attribute (key + member path). The value syntax of a row
+// follows from its field's C++ type, and one routine parses, rejects
+// duplicates and serializes every row.
 //
 // Example (the paper's NUMA-aware receiver for one of four streams):
 //   node lynxdtn
@@ -43,105 +54,508 @@
 //   task decompress count=4 exec=0 mem=0 stream=0
 #include "core/config.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "codec/codec.h"
 
 namespace numastream {
 namespace {
 
-std::string domain_to_token(int domain) {
-  return domain == NumaBinding::kOsChoice ? "os" : std::to_string(domain);
-}
+// ---------------------------------------------------------------- values
 
-Result<int> domain_from_token(const std::string& token) {
-  if (token == "os") {
-    return NumaBinding::kOsChoice;
-  }
-  try {
-    std::size_t used = 0;
-    const int value = std::stoi(token, &used);
-    if (used != token.size() || value < 0) {
-      return invalid_argument_error("config: bad domain '" + token + "'");
+// The words of each enumerated kind, in the order error hints list them.
+constexpr std::pair<bool, std::string_view> kSwitchNames[] = {{true, "on"},
+                                                              {false, "off"}};
+constexpr std::pair<NodeRole, std::string_view> kRoleNames[] = {
+    {NodeRole::kSender, "sender"}, {NodeRole::kReceiver, "receiver"}};
+constexpr std::pair<TaskType, std::string_view> kTaskTypeNames[] = {
+    {TaskType::kCompress, "compress"},
+    {TaskType::kSend, "send"},
+    {TaskType::kReceive, "receive"},
+    {TaskType::kDecompress, "decompress"}};
+constexpr std::pair<ShedPolicy, std::string_view> kShedPolicyNames[] = {
+    {ShedPolicy::kBlock, "block"},
+    {ShedPolicy::kDropNewest, "drop_newest"},
+    {ShedPolicy::kDropOldest, "drop_oldest"},
+    {ShedPolicy::kPriorityEvict, "priority_evict"}};
+
+constexpr const auto& names_of(std::type_identity<bool>) { return kSwitchNames; }
+constexpr const auto& names_of(std::type_identity<NodeRole>) { return kRoleNames; }
+constexpr const auto& names_of(std::type_identity<TaskType>) { return kTaskTypeNames; }
+constexpr const auto& names_of(std::type_identity<ShedPolicy>) { return kShedPolicyNames; }
+
+template <typename T>
+concept Enumerated = requires { names_of(std::type_identity<T>{}); };
+
+template <typename T>
+concept Number = std::is_arithmetic_v<T> && !Enumerated<T>;
+
+template <Enumerated T>
+bool parse_value(std::string_view text, T& out) {
+  for (const auto& [value, name] : names_of(std::type_identity<T>{})) {
+    if (text == name) {
+      out = value;
+      return true;
     }
-    return value;
-  } catch (const std::exception&) {
-    return invalid_argument_error("config: bad domain '" + token + "'");
   }
+  return false;
 }
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream in(text);
-  while (std::getline(in, item, sep)) {
-    out.push_back(item);
+template <Enumerated T>
+std::string_view name_of(T value) {
+  for (const auto& [candidate, name] : names_of(std::type_identity<T>{})) {
+    if (candidate == value) {
+      return name;
+    }
+  }
+  return "?";
+}
+
+/// Appended to a bad-value error: " (want a|b|...)" for an enumerated kind.
+template <typename T>
+std::string want() {
+  std::string out;
+  if constexpr (Enumerated<T>) {
+    for (const auto& [value, name] : names_of(std::type_identity<T>{})) {
+      out += out.empty() ? " (want " : "|";
+      out += name;
+    }
+    out += ')';
   }
   return out;
 }
 
+// The whole of `text` as a T: no sign on an unsigned type, no bytes left
+// over, no overflow, and only finite doubles.
+template <Number T>
+bool parse_value(std::string_view text, T& out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    return false;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return false;
+    }
+  }
+  out = value;
+  return true;
+}
+
+bool parse_value(std::string_view text, std::string& out) {
+  out = text;
+  return true;
+}
+
+// Integers in decimal; doubles in the shortest text that parses back to the
+// same bits.
+template <Number T>
+void write_value(std::string& out, T value) {
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out.append(buffer, result.ptr);
+}
+
+template <Enumerated T>
+void write_value(std::string& out, T value) {
+  out += name_of(value);
+}
+
+void write_value(std::string& out, const std::string& value) { out += value; }
+
+/// Parses `value` into `field`, or says why it cannot.
+template <typename T>
+std::string assign(std::string_view key, std::string_view value, T& field) {
+  if (parse_value(value, field)) {
+    return {};
+  }
+  return "bad value for " + std::string(key) + ": '" + std::string(value) +
+         "'" + want<T>();
+}
+
+template <typename T>
+void write_attribute(std::string& out, std::string_view key, const T& value) {
+  out += ' ';
+  out += key;
+  out += '=';
+  write_value(out, value);
+}
+
+// ---------------------------------------------------------------- tokens
+
+/// The whitespace-separated words of `line`.
+std::vector<std::string_view> words_of(std::string_view line) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  std::vector<std::string_view> words;
+  std::size_t start = line.find_first_not_of(kSpace);
+  while (start != std::string_view::npos) {
+    const std::size_t end = line.find_first_of(kSpace, start);
+    words.push_back(line.substr(start, end - start));
+    start = line.find_first_not_of(kSpace, end);
+  }
+  return words;
+}
+
+/// Splits each `key=value` word and hands the halves to `apply`, which
+/// returns an error text ("" on success). Stops at the first error.
+template <typename Apply>
+std::string for_each_attribute(std::span<const std::string_view> words, Apply&& apply) {
+  for (const std::string_view word : words) {
+    const std::size_t eq = word.find('=');
+    if (eq == std::string_view::npos) {
+      return "malformed attribute '" + std::string(word) + "'";
+    }
+    std::string error = apply(word.substr(0, eq), word.substr(eq + 1));
+    if (!error.empty()) {
+      return error;
+    }
+  }
+  return {};
+}
+
+std::string unknown_attribute(std::string_view key) {
+  return "unknown attribute '" + std::string(key) + "'";
+}
+
+// ---------------------------------------------------------------- table
+
+/// One attribute row: its key ("" for the value of a single-value
+/// directive) and the parser/writer of the field it names.
+struct Attribute {
+  std::string_view key;
+  std::string (*parse)(NodeConfig&, std::string_view key, std::string_view value);
+  void (*write)(const NodeConfig&, std::string&);
+};
+
+struct Directive {
+  std::string_view name;
+  /// In serialization order.
+  std::vector<Attribute> rows;
+  /// Policy blocks are written only when some knob moved, so a config that
+  /// never mentions one serializes byte-identically to the runtime that
+  /// predates it; nullptr means always written.
+  bool (*is_default)(const NodeConfig&);
+  /// Lines written right after this directive's own (overload's priorities).
+  void (*trailer)(const NodeConfig&, std::string&);
+};
+
+/// A row in the making: its key and the member path from the directive's
+/// block down to the field.
+template <auto... Path>
+struct Field {
+  std::string_view key;
+};
+
+template <auto... Path>
+Field<Path...> field(std::string_view key) {
+  return {key};
+}
+
+/// Erases a row of the block NodeConfig::*Block; the value kind is the
+/// field's own type.
+template <auto Block, auto... Path>
+Attribute row(Field<Path...> row_field) {
+  return {row_field.key,
+          [](NodeConfig& config, std::string_view key, std::string_view value) {
+            return assign(key, value, ((config.*Block) .* ... .* Path));
+          },
+          [](const NodeConfig& config, std::string& out) {
+            write_value(out, ((config.*Block) .* ... .* Path));
+          }};
+}
+
+/// `name value`, filling NodeConfig::*Member.
+template <auto Member>
+Directive single(std::string_view name) {
+  return {name, {row<Member>(field<>(""))}, nullptr, nullptr};
+}
+
+/// `name key=value...`, filling the policy block NodeConfig::*Block.
+template <auto Block, auto Trailer = nullptr, typename... Fields>
+Directive policy(std::string_view name, Fields... fields) {
+  return {name,
+          {row<Block>(fields)...},
+          [](const NodeConfig& config) { return (config.*Block).is_default(); },
+          Trailer};
+}
+
+// `priority` and `task` repeat and carry extra syntax, so they have their
+// own handlers instead of table rows; their words are spelled here once.
+constexpr std::string_view kPriority = "priority";
+constexpr std::string_view kPriorityStream = "stream";
+constexpr std::string_view kPriorityValue = "value";
+constexpr std::string_view kTask = "task";
+constexpr std::string_view kTaskCount = "count";
+constexpr std::string_view kTaskExec = "exec";
+constexpr std::string_view kTaskMem = "mem";
+constexpr std::string_view kTaskStream = "stream";
+
+void write_priorities(const NodeConfig& config, std::string& out) {
+  for (const StreamPriority& entry : config.overload.priorities) {
+    out += kPriority;
+    write_attribute(out, kPriorityStream, entry.stream_id);
+    write_attribute(out, kPriorityValue, entry.priority);
+    out += '\n';
+  }
+}
+
+/// Every directive but `priority` and `task`, in serialization order.
+const std::vector<Directive>& directives() {
+  static const std::vector<Directive> table = {
+      single<&NodeConfig::node_name>("node"),
+      single<&NodeConfig::role>("role"),
+      single<&NodeConfig::codec_name>("codec"),
+      single<&NodeConfig::chunk_bytes>("chunk_bytes"),
+      single<&NodeConfig::queue_capacity>("queue_capacity"),
+      policy<&NodeConfig::recovery>(
+          "recovery",
+          field<&RecoveryConfig::reconnect>("reconnect"),
+          field<&RecoveryConfig::retry, &RetryPolicy::max_attempts>("max_attempts"),
+          field<&RecoveryConfig::retry, &RetryPolicy::initial_backoff_us>("backoff_us"),
+          field<&RecoveryConfig::retry, &RetryPolicy::max_backoff_us>("max_backoff_us"),
+          field<&RecoveryConfig::retry, &RetryPolicy::multiplier>("multiplier"),
+          field<&RecoveryConfig::retry, &RetryPolicy::jitter>("jitter"),
+          field<&RecoveryConfig::retry, &RetryPolicy::max_elapsed_us>("retry_budget_us"),
+          field<&RecoveryConfig::max_consecutive_corrupt>("corrupt_limit"),
+          field<&RecoveryConfig::degrade_watermark>("degrade_watermark"),
+          field<&RecoveryConfig::watchdog_ms>("watchdog_ms")),
+      policy<&NodeConfig::overload, &write_priorities>(
+          "overload",
+          field<&OverloadConfig::budget_bytes>("budget_bytes"),
+          field<&OverloadConfig::credit_window>("credit_window"),
+          field<&OverloadConfig::shed_policy>("shed"),
+          field<&OverloadConfig::high_watermark>("high_watermark"),
+          field<&OverloadConfig::low_watermark>("low_watermark"),
+          field<&OverloadConfig::drain_deadline_ms>("drain_deadline_ms"),
+          field<&OverloadConfig::slow_stream_floor>("slow_floor"),
+          field<&OverloadConfig::slow_grace_ms>("slow_grace_ms"),
+          field<&OverloadConfig::default_priority>("default_priority")),
+      policy<&NodeConfig::health>(
+          "health",
+          field<&HealthConfig::window_ms>("window_ms"),
+          field<&HealthConfig::ewma_alpha>("ewma_alpha"),
+          field<&HealthConfig::degraded_ratio>("degraded_ratio"),
+          field<&HealthConfig::failed_ratio>("failed_ratio"),
+          field<&HealthConfig::breach_windows>("breach_windows"),
+          field<&HealthConfig::recover_windows>("recover_windows"),
+          field<&HealthConfig::baseline_windows>("baseline_windows")),
+      policy<&NodeConfig::observe>(
+          "observe",
+          field<&ObserveConfig::trace>("trace"),
+          field<&ObserveConfig::ring_capacity>("ring_capacity"),
+          field<&ObserveConfig::latency>("latency"),
+          field<&ObserveConfig::sample_ms>("sample_ms")),
+      policy<&NodeConfig::resume>(
+          "resume",
+          field<&ResumeConfig::session>("session"),
+          field<&ResumeConfig::ack_interval>("ack_interval")),
+      policy<&NodeConfig::cluster>(
+          "cluster",
+          field<&ClusterConfig::gateways>("gateways"),
+          field<&ClusterConfig::self>("self"),
+          field<&ClusterConfig::vnodes>("vnodes"),
+          field<&ClusterConfig::heartbeat_ms>("heartbeat_ms"),
+          field<&ClusterConfig::miss_windows>("miss_windows")),
+      policy<&NodeConfig::rebalance>(
+          "rebalance",
+          field<&RebalanceConfig::window_ms>("window_ms"),
+          field<&RebalanceConfig::imbalance_ratio>("imbalance_ratio"),
+          field<&RebalanceConfig::hysteresis_windows>("hysteresis_windows"),
+          field<&RebalanceConfig::cooldown_windows>("cooldown_windows"),
+          field<&RebalanceConfig::max_concurrent>("max_concurrent"),
+          field<&RebalanceConfig::drain_degraded>("drain_degraded")),
+      policy<&NodeConfig::scrub>(
+          "scrub",
+          field<&ScrubConfig::cadence_ms>("cadence_ms"),
+          field<&ScrubConfig::range_records>("range_records"),
+          field<&ScrubConfig::budget_records>("budget_records"),
+          field<&ScrubConfig::repair_concurrency>("repair_concurrency")),
+      policy<&NodeConfig::fastpath>(
+          "fastpath",
+          field<&FastPathConfig::rings>("rings"),
+          field<&FastPathConfig::pool_buffers>("pool_buffers")),
+  };
+  return table;
+}
+
+/// One line of a table directive; `words` follow the directive name.
+std::string parse_directive(const Directive& directive,
+                            std::span<const std::string_view> words,
+                            NodeConfig& config) {
+  const Attribute& first = directive.rows.front();
+  if (first.key.empty()) {
+    if (words.size() != 1) {
+      return "'" + std::string(directive.name) + "' takes exactly one value";
+    }
+    return first.parse(config, directive.name, words.front());
+  }
+  return for_each_attribute(words, [&](std::string_view key, std::string_view value) {
+    const auto row = std::find_if(directive.rows.begin(), directive.rows.end(),
+                                  [&](const Attribute& a) { return a.key == key; });
+    return row == directive.rows.end() ? unknown_attribute(key)
+                                       : row->parse(config, key, value);
+  });
+}
+
+void write_directive(const Directive& directive, const NodeConfig& config,
+                     std::string& out) {
+  out += directive.name;
+  for (const Attribute& attribute : directive.rows) {
+    out += ' ';
+    if (!attribute.key.empty()) {
+      out += attribute.key;
+      out += '=';
+    }
+    attribute.write(config, out);
+  }
+  out += '\n';
+}
+
+// ---------------------------------------------------------------- priority, task
+
+std::string parse_priority(std::span<const std::string_view> words, NodeConfig& config) {
+  std::optional<std::uint32_t> stream;
+  std::optional<int> value;
+  std::string error =
+      for_each_attribute(words, [&](std::string_view key, std::string_view text) {
+        if (key == kPriorityStream) {
+          return assign(key, text, stream.emplace());
+        }
+        if (key == kPriorityValue) {
+          return assign(key, text, value.emplace());
+        }
+        return unknown_attribute(key);
+      });
+  if (!error.empty()) {
+    return error;
+  }
+  if (!stream || !value) {
+    return "priority needs stream= and value=";
+  }
+  config.overload.priorities.push_back({.stream_id = *stream, .priority = *value});
+  return {};
+}
+
+std::string domain_to_token(int domain) {
+  return domain == NumaBinding::kOsChoice ? "os" : std::to_string(domain);
+}
+
+std::string domain_from_token(std::string_view token, int& domain) {
+  if (token == "os") {
+    domain = NumaBinding::kOsChoice;
+    return {};
+  }
+  int value = 0;
+  if (!parse_value(token, value) || value < 0) {
+    return "bad domain '" + std::string(token) + "'";
+  }
+  domain = value;
+  return {};
+}
+
+std::string parse_task(std::span<const std::string_view> words, NodeConfig& config) {
+  if (words.empty()) {
+    return "missing task type";
+  }
+  auto type = task_type_from_string(std::string(words.front()));
+  if (!type.ok()) {
+    return type.status().message();
+  }
+  TaskGroupConfig group{.type = type.value(), .bindings = {}};
+  std::optional<int> count;
+  int memory_domain = NumaBinding::kOsChoice;
+  std::vector<int> exec_domains;
+  std::string error = for_each_attribute(
+      words.subspan(1), [&](std::string_view key, std::string_view value) {
+        if (key == kTaskCount) {
+          return assign(key, value, count.emplace());
+        }
+        if (key == kTaskExec) {
+          for (std::size_t start = 0; start < value.size();) {
+            const std::size_t comma = value.find(',', start);
+            std::string bad = domain_from_token(value.substr(start, comma - start),
+                                                exec_domains.emplace_back());
+            if (!bad.empty() || comma == std::string_view::npos) {
+              return bad;
+            }
+            start = comma + 1;
+          }
+          return std::string();
+        }
+        if (key == kTaskMem) {
+          return domain_from_token(value, memory_domain);
+        }
+        if (key == kTaskStream) {
+          return assign(key, value, group.stream_id);
+        }
+        return unknown_attribute(key);
+      });
+  if (!error.empty()) {
+    return error;
+  }
+  if (!count) {
+    return "task missing count=";
+  }
+  group.count = *count;
+  if (exec_domains.empty()) {
+    exec_domains.push_back(NumaBinding::kOsChoice);
+  }
+  for (const int domain : exec_domains) {
+    group.bindings.push_back(
+        NumaBinding{.execution_domain = domain, .memory_domain = memory_domain});
+  }
+  config.tasks.push_back(std::move(group));
+  return {};
+}
+
+void write_task(const TaskGroupConfig& group, std::string& out) {
+  out += kTask;
+  out += ' ';
+  out += to_string(group.type);
+  write_attribute(out, kTaskCount, group.count);
+  std::string exec;
+  for (const NumaBinding& binding : group.bindings) {
+    exec += (exec.empty() ? "" : ",") + domain_to_token(binding.execution_domain);
+  }
+  write_attribute(out, kTaskExec, exec);
+  write_attribute(out, kTaskMem, domain_to_token(group.bindings.front().memory_domain));
+  if (group.stream_id >= 0) {
+    write_attribute(out, kTaskStream, group.stream_id);
+  }
+  out += '\n';
+}
+
 }  // namespace
 
-std::string to_string(TaskType type) {
-  switch (type) {
-    case TaskType::kCompress:
-      return "compress";
-    case TaskType::kSend:
-      return "send";
-    case TaskType::kReceive:
-      return "receive";
-    case TaskType::kDecompress:
-      return "decompress";
-  }
-  return "?";
-}
+std::string to_string(TaskType type) { return std::string(name_of(type)); }
 
 Result<TaskType> task_type_from_string(const std::string& text) {
-  if (text == "compress") {
-    return TaskType::kCompress;
+  TaskType type{};
+  if (!parse_value(text, type)) {
+    return invalid_argument_error("config: unknown task type '" + text + "'");
   }
-  if (text == "send") {
-    return TaskType::kSend;
-  }
-  if (text == "receive") {
-    return TaskType::kReceive;
-  }
-  if (text == "decompress") {
-    return TaskType::kDecompress;
-  }
-  return invalid_argument_error("config: unknown task type '" + text + "'");
+  return type;
 }
 
-std::string to_string(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::kBlock:
-      return "block";
-    case ShedPolicy::kDropNewest:
-      return "drop_newest";
-    case ShedPolicy::kDropOldest:
-      return "drop_oldest";
-    case ShedPolicy::kPriorityEvict:
-      return "priority_evict";
-  }
-  return "?";
-}
+std::string to_string(ShedPolicy policy) { return std::string(name_of(policy)); }
 
 Result<ShedPolicy> shed_policy_from_string(const std::string& text) {
-  if (text == "block") {
-    return ShedPolicy::kBlock;
+  ShedPolicy policy{};
+  if (!parse_value(text, policy)) {
+    return invalid_argument_error("config: unknown shed policy '" + text + "'" +
+                                  want<ShedPolicy>());
   }
-  if (text == "drop_newest") {
-    return ShedPolicy::kDropNewest;
-  }
-  if (text == "drop_oldest") {
-    return ShedPolicy::kDropOldest;
-  }
-  if (text == "priority_evict") {
-    return ShedPolicy::kPriorityEvict;
-  }
-  return invalid_argument_error(
-      "config: unknown shed policy '" + text +
-      "' (want block|drop_newest|drop_oldest|priority_evict)");
+  return policy;
 }
 
 int OverloadConfig::priority_of(std::uint32_t stream_id) const {
@@ -351,23 +765,6 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
           "drop_newest)");
     }
   }
-  if (!chaos.is_default()) {
-    if (chaos.seed == 0) {
-      return invalid_argument_error(
-          "config: chaos needs seed > 0 (the mesh and explorer derive every "
-          "decision from it; 0 means chaos off)");
-    }
-    if (chaos.episodes == 0) {
-      return invalid_argument_error(
-          "config: chaos episodes must be positive (a zero budget would "
-          "explore nothing)");
-    }
-    if (chaos.events == 0) {
-      return invalid_argument_error(
-          "config: chaos events must be positive (an empty schedule cannot "
-          "compose faults)");
-    }
-  }
   if (tasks.empty()) {
     return invalid_argument_error("config: no task groups");
   }
@@ -398,684 +795,66 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
   return Status::ok();
 }
 
+
 std::string NodeConfig::serialize() const {
-  std::ostringstream out;
-  out << "node " << node_name << "\n";
-  out << "role " << (role == NodeRole::kSender ? "sender" : "receiver") << "\n";
-  out << "codec " << codec_name << "\n";
-  out << "chunk_bytes " << chunk_bytes << "\n";
-  out << "queue_capacity " << queue_capacity << "\n";
-  if (!recovery.is_default()) {
-    // Emit only when any knob moved, so pre-recovery configs round-trip
-    // byte-identically. All knobs are written to keep the line self-contained.
-    out << "recovery reconnect=" << (recovery.reconnect ? "on" : "off")
-        << " max_attempts=" << recovery.retry.max_attempts
-        << " backoff_us=" << recovery.retry.initial_backoff_us
-        << " max_backoff_us=" << recovery.retry.max_backoff_us
-        << " multiplier=" << recovery.retry.multiplier
-        << " jitter=" << recovery.retry.jitter
-        << " retry_budget_us=" << recovery.retry.max_elapsed_us
-        << " corrupt_limit=" << recovery.max_consecutive_corrupt
-        << " degrade_watermark=" << recovery.degrade_watermark
-        << " watchdog_ms=" << recovery.watchdog_ms << "\n";
-  }
-  if (!overload.is_default()) {
-    // Same convention as `recovery`: the directive appears only when some
-    // knob moved, so pre-overload configs round-trip byte-identically.
-    out << "overload budget_bytes=" << overload.budget_bytes
-        << " credit_window=" << overload.credit_window
-        << " shed=" << to_string(overload.shed_policy)
-        << " high_watermark=" << overload.high_watermark
-        << " low_watermark=" << overload.low_watermark
-        << " drain_deadline_ms=" << overload.drain_deadline_ms
-        << " slow_floor=" << overload.slow_stream_floor
-        << " slow_grace_ms=" << overload.slow_grace_ms
-        << " default_priority=" << overload.default_priority << "\n";
-    for (const auto& entry : overload.priorities) {
-      out << "priority stream=" << entry.stream_id << " value=" << entry.priority
-          << "\n";
+  std::string out;
+  for (const Directive& directive : directives()) {
+    if (directive.is_default != nullptr && directive.is_default(*this)) {
+      continue;
     }
-  }
-  if (!health.is_default()) {
-    // Same convention again: the directive appears only when some knob
-    // moved, so pre-health configs round-trip byte-identically.
-    out << "health window_ms=" << health.window_ms
-        << " ewma_alpha=" << health.ewma_alpha
-        << " degraded_ratio=" << health.degraded_ratio
-        << " failed_ratio=" << health.failed_ratio
-        << " breach_windows=" << health.breach_windows
-        << " recover_windows=" << health.recover_windows
-        << " baseline_windows=" << health.baseline_windows << "\n";
-  }
-  if (!observe.is_default()) {
-    // Same convention again: the directive appears only when some knob
-    // moved, so pre-observability configs round-trip byte-identically.
-    out << "observe trace=" << (observe.trace ? "on" : "off")
-        << " ring_capacity=" << observe.ring_capacity
-        << " latency=" << (observe.latency ? "on" : "off")
-        << " sample_ms=" << observe.sample_ms << "\n";
-  }
-  if (!resume.is_default()) {
-    // Same convention again: the directive appears only when some knob
-    // moved, so pre-resume configs round-trip byte-identically.
-    out << "resume session=" << resume.session
-        << " ack_interval=" << resume.ack_interval << "\n";
-  }
-  if (!cluster.is_default()) {
-    // Same convention again: the directive appears only when some knob
-    // moved, so single-gateway configs round-trip byte-identically.
-    out << "cluster gateways=" << cluster.gateways
-        << " self=" << cluster.self << " vnodes=" << cluster.vnodes
-        << " heartbeat_ms=" << cluster.heartbeat_ms
-        << " miss_windows=" << cluster.miss_windows << "\n";
-  }
-  if (!rebalance.is_default()) {
-    // Same convention again: the directive appears only when some knob
-    // moved, so failure-only federation configs round-trip byte-identically.
-    out << "rebalance window_ms=" << rebalance.window_ms
-        << " imbalance_ratio=" << rebalance.imbalance_ratio
-        << " hysteresis_windows=" << rebalance.hysteresis_windows
-        << " cooldown_windows=" << rebalance.cooldown_windows
-        << " max_concurrent=" << rebalance.max_concurrent
-        << " drain_degraded=" << (rebalance.drain_degraded ? "on" : "off")
-        << "\n";
-  }
-  if (!scrub.is_default()) {
-    // Same convention again: the directive appears only when some knob
-    // moved, so trust-the-fsync configs round-trip byte-identically.
-    out << "scrub cadence_ms=" << scrub.cadence_ms
-        << " range_records=" << scrub.range_records
-        << " budget_records=" << scrub.budget_records
-        << " repair_concurrency=" << scrub.repair_concurrency << "\n";
-  }
-  if (!fastpath.is_default()) {
-    // Same convention again: the directive appears only when some knob
-    // moved, so mutex-queue configs round-trip byte-identically.
-    out << "fastpath rings=" << (fastpath.rings ? "on" : "off")
-        << " pool_buffers=" << fastpath.pool_buffers << "\n";
-  }
-  if (!chaos.is_default()) {
-    // Same convention again: the directive appears only when some knob
-    // moved, so production configs round-trip byte-identically.
-    out << "chaos seed=" << chaos.seed << " episodes=" << chaos.episodes
-        << " events=" << chaos.events
-        << " probes=" << (chaos.probes ? "on" : "off") << "\n";
+    write_directive(directive, *this, out);
+    if (directive.trailer != nullptr) {
+      directive.trailer(*this, out);
+    }
   }
   for (const auto& group : tasks) {
-    out << "task " << to_string(group.type) << " count=" << group.count << " exec=";
-    for (std::size_t i = 0; i < group.bindings.size(); ++i) {
-      out << (i == 0 ? "" : ",") << domain_to_token(group.bindings[i].execution_domain);
-    }
-    out << " mem=" << domain_to_token(group.bindings.front().memory_domain);
-    if (group.stream_id >= 0) {
-      out << " stream=" << group.stream_id;
-    }
-    out << "\n";
+    write_task(group, out);
   }
-  return out.str();
+  return out;
 }
 
 Result<NodeConfig> NodeConfig::parse(const std::string& text) {
+  const std::vector<Directive>& table = directives();
   NodeConfig config;
-  config.tasks.clear();
-  bool saw_node = false;
-  bool saw_role = false;
-  bool saw_codec = false;
-  bool saw_chunk_bytes = false;
-  bool saw_queue_capacity = false;
-  bool saw_recovery = false;
-  bool saw_overload = false;
-  bool saw_health = false;
-  bool saw_observe = false;
-  bool saw_resume = false;
-  bool saw_cluster = false;
-  bool saw_rebalance = false;
-  bool saw_scrub = false;
-  bool saw_fastpath = false;
-  bool saw_chaos = false;
+  std::vector<bool> seen(table.size(), false);
 
   std::istringstream in(text);
   std::string line;
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const auto comment = line.find('#');
-    if (comment != std::string::npos) {
-      line.resize(comment);
-    }
-    std::istringstream fields(line);
-    std::string directive;
-    if (!(fields >> directive)) {
+    const std::vector<std::string_view> words =
+        words_of(std::string_view(line).substr(0, line.find('#')));
+    if (words.empty()) {
       continue;  // blank line
     }
-    const auto fail = [&](const std::string& why) {
-      return invalid_argument_error("config line " + std::to_string(line_no) + ": " +
-                                    why);
-    };
-
-    if (directive == "node") {
-      if (saw_node) {
-        return fail("duplicate 'node' directive (each directive may appear "
-                    "at most once)");
-      }
-      if (!(fields >> config.node_name)) {
-        return fail("missing node name");
-      }
-      saw_node = true;
-    } else if (directive == "role") {
-      if (saw_role) {
-        return fail("duplicate 'role' directive (each directive may appear "
-                    "at most once)");
-      }
-      saw_role = true;
-      std::string role;
-      if (!(fields >> role)) {
-        return fail("missing role");
-      }
-      if (role == "sender") {
-        config.role = NodeRole::kSender;
-      } else if (role == "receiver") {
-        config.role = NodeRole::kReceiver;
-      } else {
-        return fail("unknown role '" + role + "'");
-      }
-    } else if (directive == "codec") {
-      if (saw_codec) {
-        return fail("duplicate 'codec' directive (each directive may appear "
-                    "at most once)");
-      }
-      saw_codec = true;
-      if (!(fields >> config.codec_name)) {
-        return fail("missing codec name");
-      }
-    } else if (directive == "chunk_bytes") {
-      if (saw_chunk_bytes) {
-        return fail("duplicate 'chunk_bytes' directive (each directive may "
-                    "appear at most once)");
-      }
-      saw_chunk_bytes = true;
-      if (!(fields >> config.chunk_bytes)) {
-        return fail("bad chunk_bytes");
-      }
-    } else if (directive == "queue_capacity") {
-      if (saw_queue_capacity) {
-        return fail("duplicate 'queue_capacity' directive (each directive "
-                    "may appear at most once)");
-      }
-      saw_queue_capacity = true;
-      if (!(fields >> config.queue_capacity)) {
-        return fail("bad queue_capacity");
-      }
-    } else if (directive == "recovery") {
-      if (saw_recovery) {
-        return fail("duplicate 'recovery' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_recovery = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "reconnect") {
-            if (value == "on") {
-              config.recovery.reconnect = true;
-            } else if (value == "off") {
-              config.recovery.reconnect = false;
-            } else {
-              return fail("bad reconnect '" + value + "' (want on|off)");
-            }
-          } else if (key == "max_attempts") {
-            config.recovery.retry.max_attempts = std::stoi(value);
-          } else if (key == "backoff_us") {
-            config.recovery.retry.initial_backoff_us = std::stoull(value);
-          } else if (key == "max_backoff_us") {
-            config.recovery.retry.max_backoff_us = std::stoull(value);
-          } else if (key == "multiplier") {
-            config.recovery.retry.multiplier = std::stod(value);
-          } else if (key == "jitter") {
-            config.recovery.retry.jitter = std::stod(value);
-          } else if (key == "retry_budget_us") {
-            config.recovery.retry.max_elapsed_us = std::stoull(value);
-          } else if (key == "corrupt_limit") {
-            config.recovery.max_consecutive_corrupt = std::stoi(value);
-          } else if (key == "degrade_watermark") {
-            config.recovery.degrade_watermark = std::stoull(value);
-          } else if (key == "watchdog_ms") {
-            config.recovery.watchdog_ms = std::stoull(value);
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "overload") {
-      if (saw_overload) {
-        return fail("duplicate 'overload' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_overload = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "budget_bytes") {
-            config.overload.budget_bytes = std::stoull(value);
-          } else if (key == "credit_window") {
-            config.overload.credit_window = std::stoull(value);
-          } else if (key == "shed") {
-            auto policy = shed_policy_from_string(value);
-            if (!policy.ok()) {
-              return fail(policy.status().message());
-            }
-            config.overload.shed_policy = policy.value();
-          } else if (key == "high_watermark") {
-            config.overload.high_watermark = std::stoull(value);
-          } else if (key == "low_watermark") {
-            config.overload.low_watermark = std::stoull(value);
-          } else if (key == "drain_deadline_ms") {
-            config.overload.drain_deadline_ms = std::stoull(value);
-          } else if (key == "slow_floor") {
-            config.overload.slow_stream_floor = std::stoull(value);
-          } else if (key == "slow_grace_ms") {
-            config.overload.slow_grace_ms = std::stoull(value);
-          } else if (key == "default_priority") {
-            config.overload.default_priority = std::stoi(value);
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "priority") {
-      StreamPriority entry;
-      bool saw_stream = false;
-      bool saw_value = false;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "stream") {
-            const long long id = std::stoll(value);
-            if (id < 0) {
-              return fail("priority stream id must be non-negative");
-            }
-            entry.stream_id = static_cast<std::uint32_t>(id);
-            saw_stream = true;
-          } else if (key == "value") {
-            entry.priority = std::stoi(value);
-            saw_value = true;
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-      if (!saw_stream || !saw_value) {
-        return fail("priority needs stream= and value=");
-      }
-      config.overload.priorities.push_back(entry);
-    } else if (directive == "health") {
-      if (saw_health) {
-        return fail("duplicate 'health' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_health = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "window_ms") {
-            config.health.window_ms = std::stoull(value);
-          } else if (key == "ewma_alpha") {
-            config.health.ewma_alpha = std::stod(value);
-          } else if (key == "degraded_ratio") {
-            config.health.degraded_ratio = std::stod(value);
-          } else if (key == "failed_ratio") {
-            config.health.failed_ratio = std::stod(value);
-          } else if (key == "breach_windows") {
-            config.health.breach_windows = std::stoi(value);
-          } else if (key == "recover_windows") {
-            config.health.recover_windows = std::stoi(value);
-          } else if (key == "baseline_windows") {
-            config.health.baseline_windows = std::stoi(value);
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "observe") {
-      if (saw_observe) {
-        return fail("duplicate 'observe' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_observe = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "trace") {
-            if (value == "on") {
-              config.observe.trace = true;
-            } else if (value == "off") {
-              config.observe.trace = false;
-            } else {
-              return fail("bad trace '" + value + "' (want on|off)");
-            }
-          } else if (key == "ring_capacity") {
-            config.observe.ring_capacity = std::stoull(value);
-          } else if (key == "latency") {
-            if (value == "on") {
-              config.observe.latency = true;
-            } else if (value == "off") {
-              config.observe.latency = false;
-            } else {
-              return fail("bad latency '" + value + "' (want on|off)");
-            }
-          } else if (key == "sample_ms") {
-            config.observe.sample_ms = std::stoull(value);
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "resume") {
-      if (saw_resume) {
-        return fail("duplicate 'resume' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_resume = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "session") {
-            config.resume.session = std::stoull(value);
-          } else if (key == "ack_interval") {
-            config.resume.ack_interval = std::stoull(value);
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "cluster") {
-      if (saw_cluster) {
-        return fail("duplicate 'cluster' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_cluster = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "gateways") {
-            config.cluster.gateways =
-                static_cast<std::uint32_t>(std::stoul(value));
-          } else if (key == "self") {
-            config.cluster.self = static_cast<std::uint32_t>(std::stoul(value));
-          } else if (key == "vnodes") {
-            config.cluster.vnodes =
-                static_cast<std::uint32_t>(std::stoul(value));
-          } else if (key == "heartbeat_ms") {
-            config.cluster.heartbeat_ms = std::stoull(value);
-          } else if (key == "miss_windows") {
-            config.cluster.miss_windows = std::stoi(value);
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "rebalance") {
-      if (saw_rebalance) {
-        return fail("duplicate 'rebalance' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_rebalance = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "window_ms") {
-            config.rebalance.window_ms = std::stoull(value);
-          } else if (key == "imbalance_ratio") {
-            config.rebalance.imbalance_ratio = std::stod(value);
-          } else if (key == "hysteresis_windows") {
-            config.rebalance.hysteresis_windows = std::stoi(value);
-          } else if (key == "cooldown_windows") {
-            config.rebalance.cooldown_windows = std::stoi(value);
-          } else if (key == "max_concurrent") {
-            config.rebalance.max_concurrent = std::stoi(value);
-          } else if (key == "drain_degraded") {
-            if (value == "on") {
-              config.rebalance.drain_degraded = true;
-            } else if (value == "off") {
-              config.rebalance.drain_degraded = false;
-            } else {
-              return fail("bad drain_degraded '" + value + "' (want on|off)");
-            }
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "scrub") {
-      if (saw_scrub) {
-        return fail("duplicate 'scrub' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_scrub = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "cadence_ms") {
-            config.scrub.cadence_ms = std::stoull(value);
-          } else if (key == "range_records") {
-            config.scrub.range_records =
-                static_cast<std::uint32_t>(std::stoul(value));
-          } else if (key == "budget_records") {
-            config.scrub.budget_records = std::stoull(value);
-          } else if (key == "repair_concurrency") {
-            config.scrub.repair_concurrency = std::stoi(value);
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "fastpath") {
-      if (saw_fastpath) {
-        return fail("duplicate 'fastpath' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_fastpath = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "rings") {
-            if (value != "on" && value != "off") {
-              return fail("rings must be on|off");
-            }
-            config.fastpath.rings = value == "on";
-          } else if (key == "pool_buffers") {
-            config.fastpath.pool_buffers =
-                static_cast<std::uint32_t>(std::stoul(value));
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "chaos") {
-      if (saw_chaos) {
-        return fail("duplicate 'chaos' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_chaos = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "seed") {
-            config.chaos.seed = std::stoull(value);
-          } else if (key == "episodes") {
-            config.chaos.episodes =
-                static_cast<std::uint32_t>(std::stoul(value));
-          } else if (key == "events") {
-            config.chaos.events = static_cast<std::uint32_t>(std::stoul(value));
-          } else if (key == "probes") {
-            if (value != "on" && value != "off") {
-              return fail("probes must be on|off");
-            }
-            config.chaos.probes = value == "on";
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "task") {
-      TaskGroupConfig group;
-      std::string type_token;
-      if (!(fields >> type_token)) {
-        return fail("missing task type");
-      }
-      auto type = task_type_from_string(type_token);
-      if (!type.ok()) {
-        return fail(type.status().message());
-      }
-      group.type = type.value();
-      group.bindings.clear();
-
-      int memory_domain = NumaBinding::kOsChoice;
-      std::vector<int> exec_domains;
-      bool saw_count = false;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        if (key == "count") {
-          try {
-            group.count = std::stoi(value);
-          } catch (const std::exception&) {
-            return fail("bad count '" + value + "'");
-          }
-          saw_count = true;
-        } else if (key == "exec") {
-          for (const std::string& token : split(value, ',')) {
-            auto domain = domain_from_token(token);
-            if (!domain.ok()) {
-              return fail(domain.status().message());
-            }
-            exec_domains.push_back(domain.value());
-          }
-        } else if (key == "mem") {
-          auto domain = domain_from_token(value);
-          if (!domain.ok()) {
-            return fail(domain.status().message());
-          }
-          memory_domain = domain.value();
-        } else if (key == "stream") {
-          try {
-            group.stream_id = std::stoi(value);
-          } catch (const std::exception&) {
-            return fail("bad stream id '" + value + "'");
-          }
-        } else {
-          return fail("unknown attribute '" + key + "'");
-        }
-      }
-      if (!saw_count) {
-        return fail("task missing count=");
-      }
-      if (exec_domains.empty()) {
-        exec_domains.push_back(NumaBinding::kOsChoice);
-      }
-      for (const int domain : exec_domains) {
-        group.bindings.push_back(
-            NumaBinding{.execution_domain = domain, .memory_domain = memory_domain});
-      }
-      config.tasks.push_back(std::move(group));
+    const std::string_view name = words.front();
+    const std::span<const std::string_view> rest(words.begin() + 1, words.end());
+    std::string error;
+    if (name == kPriority) {
+      error = parse_priority(rest, config);
+    } else if (name == kTask) {
+      error = parse_task(rest, config);
     } else {
-      return fail("unknown directive '" + directive + "'");
+      const auto directive =
+          std::find_if(table.begin(), table.end(),
+                       [&](const Directive& d) { return d.name == name; });
+      if (directive == table.end()) {
+        error = "unknown directive '" + std::string(name) + "'";
+      } else if (seen[directive - table.begin()]) {
+        error = "duplicate '" + std::string(name) +
+                "' directive (each directive may appear at most once)";
+      } else {
+        seen[directive - table.begin()] = true;
+        error = parse_directive(*directive, rest, config);
+      }
+    }
+    if (!error.empty()) {
+      return invalid_argument_error("config line " + std::to_string(line_no) +
+                                    ": " + error);
     }
   }
-  if (!saw_node) {
+  if (config.node_name.empty()) {
     return invalid_argument_error("config: missing 'node' directive");
   }
   return config;

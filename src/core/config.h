@@ -335,29 +335,6 @@ struct FastPathConfig {
   friend bool operator==(const FastPathConfig&, const FastPathConfig&) = default;
 };
 
-struct ChaosConfig {
-  /// Master seed for the chaos mesh and explorer. 0 disables the whole
-  /// subsystem: no mesh is built, no probe fires, the hot path never
-  /// branches on chaos state.
-  std::uint64_t seed = 0;
-  /// Random-walk episodes the explorer runs per invocation. Must be > 0
-  /// when chaos is enabled.
-  std::uint32_t episodes = 200;
-  /// Events composed per episode schedule. Must be > 0 when enabled.
-  std::uint32_t events = 12;
-  /// Invariant probes armed during chaos runs. Off lets a soak measure
-  /// mesh overhead without ledger bookkeeping.
-  bool probes = true;
-
-  [[nodiscard]] bool is_default() const { return *this == ChaosConfig{}; }
-
-  /// Chaos is on iff a seed is set; the absent directive keeps
-  /// serialization byte-identical to the pre-chaos runtime.
-  [[nodiscard]] bool enabled() const { return seed != 0; }
-
-  friend bool operator==(const ChaosConfig&, const ChaosConfig&) = default;
-};
-
 struct NodeConfig {
   std::string node_name;
   NodeRole role = NodeRole::kSender;
@@ -373,7 +350,6 @@ struct NodeConfig {
   RebalanceConfig rebalance;
   ScrubConfig scrub;
   FastPathConfig fastpath;
-  ChaosConfig chaos;
   std::vector<TaskGroupConfig> tasks;
 
   /// Total threads of one task type across all groups (optionally filtered

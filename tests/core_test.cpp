@@ -126,6 +126,7 @@ TEST(ConfigTest, ParseRejectsMalformed) {
   EXPECT_FALSE(NodeConfig::parse("node x\ntask send count=x\n").ok());
   EXPECT_FALSE(NodeConfig::parse("node x\ntask send count=1 exec=9x\n").ok());
   EXPECT_FALSE(NodeConfig::parse("node x\nbogus y\n").ok());
+  EXPECT_FALSE(NodeConfig::parse("node x\nchaos seed=1\n").ok());  // removed
 }
 
 TEST(ConfigTest, ValidateAgainstTopology) {
