@@ -25,6 +25,12 @@ Bytes projection_sample() {
   return sample;
 }
 
+// The full 2048x2700 projection that the tomo_full_lz4 workload streams.
+Bytes full_projection_sample() {
+  static const Bytes sample = TomoGenerator(TomoConfig{}).projection(1);
+  return sample;
+}
+
 Bytes random_sample(std::size_t size) {
   Bytes data(size);
   Rng rng(99);
@@ -61,6 +67,34 @@ void BM_Lz4DecompressTomo(benchmark::State& state) {
                           static_cast<std::int64_t>(input.size()));
 }
 BENCHMARK(BM_Lz4DecompressTomo);
+
+void BM_Lz4CompressTomoFull(benchmark::State& state) {
+  const Bytes input = full_projection_sample();
+  Bytes output(lz4_compress_bound(input.size()));
+  for (auto _ : state) {
+    auto written = lz4_compress_block(input, output);
+    benchmark::DoNotOptimize(written.value());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(input.size()));
+  const auto written = lz4_compress_block(input, output);
+  state.counters["ratio"] =
+      static_cast<double>(input.size()) / static_cast<double>(written.value());
+}
+BENCHMARK(BM_Lz4CompressTomoFull)->Unit(benchmark::kMillisecond);
+
+void BM_Lz4DecompressTomoFull(benchmark::State& state) {
+  const Bytes input = full_projection_sample();
+  const Bytes compressed = lz4_compress(input);
+  Bytes output(input.size());
+  for (auto _ : state) {
+    auto produced = lz4_decompress_block(compressed, output);
+    benchmark::DoNotOptimize(produced.value());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(input.size()));
+}
+BENCHMARK(BM_Lz4DecompressTomoFull)->Unit(benchmark::kMillisecond);
 
 void BM_Lz4CompressIncompressible(benchmark::State& state) {
   const Bytes input = random_sample(1 << 20);

@@ -130,6 +130,13 @@ Result<std::size_t> delta_rle_decompress(ByteSpan src, MutableByteSpan dst) {
     return corrupt("truncated header");
   }
 
+  // Each sample is one varint of at most 3 bytes (a zigzagged 16-bit delta),
+  // so a longer declared stream is corrupt. Checked before the reserve below,
+  // which would otherwise size itself by an untrusted header (up to 4 GiB).
+  if (varint_len > 3 * n_samples) {
+    return corrupt("declared varint length exceeds 3 bytes per sample");
+  }
+
   // Undo RLE into the varint stream.
   Bytes varints;
   varints.reserve(varint_len);

@@ -12,6 +12,11 @@
 // The decompressor is fully bounds-checked and returns DATA_LOSS on any
 // malformed input instead of reading or writing out of bounds, because frames
 // arrive from a network.
+//
+// Both directions work a word at a time: matches are extended 8 bytes per
+// compare, and short runs are copied with fixed 8- or 16-byte over-copies
+// where the buffers have room. An over-copy may leave scratch bytes in `dst`
+// past the length returned, never past dst.size().
 #pragma once
 
 #include <cstddef>
@@ -30,11 +35,15 @@ constexpr std::size_t lz4_compress_bound(std::size_t raw_size) noexcept {
 /// Compresses `src` into `dst`. Returns the number of bytes written.
 /// Fails with RESOURCE_EXHAUSTED if `dst` is smaller than the compressed
 /// output would need (size `dst` with lz4_compress_bound to be safe).
+/// Bytes of `dst` past the returned length may hold scratch.
 Result<std::size_t> lz4_compress_block(ByteSpan src, MutableByteSpan dst);
 
 /// Decompresses `src` into `dst`. Returns the number of bytes produced.
 /// `dst` must be at least the original raw size (callers know it from the
-/// frame header). Any malformed sequence yields DATA_LOSS.
+/// frame header). Any malformed sequence yields DATA_LOSS, detected before
+/// anything is read or written out of bounds. The decoder may write scratch
+/// bytes past the produced length, but never past dst.size(): slack in `dst`
+/// lets more of the copies take the fixed-size fast path.
 Result<std::size_t> lz4_decompress_block(ByteSpan src, MutableByteSpan dst);
 
 /// High-compression variant: hash-chain match search that examines up to

@@ -647,11 +647,13 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
       return invalid_argument_error(
           "config: health needs window_ms > 0 (the observation window)");
     }
-    if (health.ewma_alpha <= 0 || health.ewma_alpha > 1) {
+    // Written as !(in range) so that NaN, which fails every comparison, is
+    // rejected rather than slipping past each bound.
+    if (!(health.ewma_alpha > 0 && health.ewma_alpha <= 1)) {
       return invalid_argument_error("config: ewma_alpha must be in (0, 1]");
     }
-    if (health.failed_ratio <= 0 || health.failed_ratio >= health.degraded_ratio ||
-        health.degraded_ratio >= 1) {
+    if (!(health.failed_ratio > 0 && health.failed_ratio < health.degraded_ratio &&
+          health.degraded_ratio < 1)) {
       return invalid_argument_error(
           "config: health ratios must satisfy 0 < failed_ratio < "
           "degraded_ratio < 1");
@@ -711,7 +713,7 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
           "config: rebalance needs window_ms > 0 (the load-observation "
           "window)");
     }
-    if (rebalance.imbalance_ratio <= 1.0) {
+    if (!(rebalance.imbalance_ratio > 1.0)) {
       return invalid_argument_error(
           "config: rebalance imbalance_ratio must be > 1 (a threshold at or "
           "below the mean would always fire)");

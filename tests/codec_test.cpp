@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "codec/codec.h"
@@ -9,6 +12,7 @@
 #include "codec/lz4.h"
 #include "codec/xxhash.h"
 #include "common/rng.h"
+#include "data/tomo.h"
 
 namespace numastream {
 namespace {
@@ -277,6 +281,292 @@ TEST(Lz4Test, MutatedValidStreamNeverCrashes) {
   SUCCEED();
 }
 
+// ---------------------------------------------------------------- lz4 golden
+
+// Buffers of 0-5000 bytes over 1-6 letter alphabets: dense in short matches,
+// small offsets and one-letter runs, the sequences the hot loops special-case.
+Bytes small_alphabet_buffer(Rng& rng) {
+  Bytes data(rng.next_below(5001));
+  const std::uint64_t alphabet = 1 + rng.next_below(6);
+  for (auto& b : data) {
+    b = static_cast<std::uint8_t>('a' + rng.next_below(alphabet));
+  }
+  return data;
+}
+
+// Pins the exact compressed bytes of both compressors, so a change to how
+// they search or copy cannot move the format or the ratio unnoticed. Each
+// output is hashed with the previous digest as seed, so one digest covers a
+// whole corpus: any changed byte, in any output, changes it.
+TEST(Lz4GoldenTest, TomoProjectionsCompressToPinnedBytes) {
+  std::uint64_t fast = 0;
+  std::uint64_t hc = 0;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    TomoConfig config;
+    config.seed = seed;
+    const Bytes projection = TomoGenerator(config).projection(0);
+    fast = xxhash64(lz4_compress(projection), fast);
+    hc = xxhash64(lz4hc_compress(projection), hc);
+  }
+  EXPECT_EQ(fast, 0x063A8372EF5EE8A8ULL);
+  EXPECT_EQ(hc, 0x95508A26FE469FDEULL);
+}
+
+TEST(Lz4GoldenTest, SmallAlphabetBuffersCompressToPinnedBytes) {
+  Rng rng(15);
+  std::uint64_t fast = 0;
+  std::uint64_t hc = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const Bytes data = small_alphabet_buffer(rng);
+    fast = xxhash64(lz4_compress(data), fast);
+    hc = xxhash64(lz4hc_compress(data), hc);
+  }
+  EXPECT_EQ(fast, 0xFDF9A74503616B48ULL);
+  EXPECT_EQ(hc, 0x50FFED1D37CE4708ULL);
+}
+
+// ---------------------------------------------------------------- lz4 decoder bounds
+
+// The block format decoded one byte at a time with every check spelled out:
+// the reference the word-at-a-time decoder must agree with.
+std::optional<Bytes> reference_decode(ByteSpan src, std::size_t capacity) {
+  Bytes out;
+  std::size_t ip = 0;
+  const auto read_length = [&](std::size_t len, std::size_t& result) {
+    if (len == 15) {
+      std::uint8_t byte = 0;
+      do {
+        if (ip >= src.size()) {
+          return false;
+        }
+        byte = src[ip++];
+        len += byte;
+      } while (byte == 255);
+    }
+    result = len;
+    return true;
+  };
+  while (ip < src.size()) {
+    const std::uint8_t token = src[ip++];
+    std::size_t lit_len = 0;
+    if (!read_length(token >> 4, lit_len) || src.size() - ip < lit_len ||
+        capacity - out.size() < lit_len) {
+      return std::nullopt;
+    }
+    out.insert(out.end(), src.begin() + static_cast<std::ptrdiff_t>(ip),
+               src.begin() + static_cast<std::ptrdiff_t>(ip + lit_len));
+    ip += lit_len;
+    if (ip == src.size()) {
+      break;
+    }
+    if (src.size() - ip < 2) {
+      return std::nullopt;
+    }
+    const std::size_t offset = load_le16(src.data() + ip);
+    ip += 2;
+    std::size_t match_len = 0;
+    if (offset == 0 || offset > out.size() || !read_length(token & 0x0F, match_len)) {
+      return std::nullopt;
+    }
+    match_len += 4;
+    if (capacity - out.size() < match_len) {
+      return std::nullopt;
+    }
+    for (std::size_t i = 0; i < match_len; ++i) {
+      out.push_back(out[out.size() - offset]);
+    }
+  }
+  return out;
+}
+
+// Appends an LZ4 length remainder (the bytes after a saturated nibble).
+void put_length(Bytes& stream, std::size_t remainder) {
+  for (; remainder >= 255; remainder -= 255) {
+    stream.push_back(255);
+  }
+  stream.push_back(static_cast<std::uint8_t>(remainder));
+}
+
+// Appends one sequence: `literals`, then (unless final) a match of
+// `match_len` bytes at `offset`.
+void put_sequence(Bytes& stream, const Bytes& literals, std::size_t offset,
+                  std::size_t match_len, bool final) {
+  const std::size_t lit = literals.size();
+  const std::size_t stored = final ? 0 : match_len - 4;
+  stream.push_back(static_cast<std::uint8_t>((std::min<std::size_t>(lit, 15) << 4) |
+                                             std::min<std::size_t>(stored, 15)));
+  if (lit >= 15) {
+    put_length(stream, lit - 15);
+  }
+  stream.insert(stream.end(), literals.begin(), literals.end());
+  if (final) {
+    return;
+  }
+  stream.push_back(static_cast<std::uint8_t>(offset));
+  stream.push_back(static_cast<std::uint8_t>(offset >> 8));
+  if (stored >= 15) {
+    put_length(stream, stored - 15);
+  }
+}
+
+Bytes letters(std::size_t n, Rng& rng) {
+  Bytes out(n);
+  for (auto& b : out) {
+    b = static_cast<std::uint8_t>('A' + rng.next_below(26));
+  }
+  return out;
+}
+
+// A small projection, so every prefix and every short destination is cheap.
+Bytes small_tomo_block(Bytes* raw) {
+  TomoConfig config;
+  config.rows = 48;
+  config.cols = 96;
+  *raw = TomoGenerator(config).projection(0);
+  return lz4_compress(*raw);
+}
+
+// Decodes into a buffer of exactly `capacity` bytes (so any overrun is a heap
+// error under ASan) and checks the result: DATA_LOSS, or the expected prefix.
+void expect_data_loss_or_exact(ByteSpan src, std::size_t capacity, const Bytes& expected) {
+  const Bytes input(src.begin(), src.end());  // exact-size copy: overreads trap
+  Bytes out(capacity);
+  const auto produced = lz4_decompress_block(input, out);
+  if (!produced.ok()) {
+    EXPECT_EQ(produced.status().code(), StatusCode::kDataLoss);
+    return;
+  }
+  ASSERT_LE(produced.value(), expected.size());
+  EXPECT_TRUE(std::equal(out.begin(),
+                         out.begin() + static_cast<std::ptrdiff_t>(produced.value()),
+                         expected.begin()));
+}
+
+TEST(Lz4Test, EveryTruncatedPrefixFailsOrDecodesAPrefix) {
+  Bytes raw;
+  const Bytes block = small_tomo_block(&raw);
+  for (std::size_t cut = 0; cut < block.size(); ++cut) {
+    expect_data_loss_or_exact(ByteSpan(block.data(), cut), raw.size(), raw);
+  }
+}
+
+TEST(Lz4Test, ShortDestinationIsDataLoss) {
+  Bytes raw;
+  const Bytes block = small_tomo_block(&raw);
+  for (std::size_t shortfall = 1; shortfall <= 40; ++shortfall) {
+    Bytes out(raw.size() - shortfall);
+    const auto produced = lz4_decompress_block(block, out);
+    ASSERT_FALSE(produced.ok()) << "shortfall " << shortfall;
+    EXPECT_EQ(produced.status().code(), StatusCode::kDataLoss);
+  }
+}
+
+TEST(Lz4Test, BadOffsetsNearBothEndsAreDataLoss) {
+  // A valid first sequence (8 literals + a 4-byte run), then a sequence whose
+  // offset is zero or reaches before the output start, placed so the bytes
+  // left after its token and the room left in the output both span 18-40.
+  Rng rng(3);
+  const Bytes head = letters(8, rng);
+  for (const std::size_t lit : {std::size_t{0}, std::size_t{5}}) {
+    for (std::size_t in_left = 18; in_left <= 40; ++in_left) {
+      for (std::size_t out_left = 18; out_left <= 40; ++out_left) {
+        for (const bool zero : {true, false}) {
+          Bytes stream;
+          put_sequence(stream, head, 1, 4, false);
+          const std::size_t produced = head.size() + 4;
+          const std::size_t offset = zero ? 0 : produced + lit + 1;
+          put_sequence(stream, letters(lit, rng), offset, 8, false);
+          stream.resize(stream.size() + in_left - (lit + 2), 0x11);
+          Bytes out(produced + out_left);
+          const auto result = lz4_decompress_block(stream, out);
+          ASSERT_FALSE(result.ok()) << "in_left " << in_left << " out_left " << out_left;
+          EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+        }
+      }
+    }
+  }
+}
+
+TEST(Lz4Test, ShortOffsetsMatchTheByteLoopReference) {
+  // Every offset 1-15 and match length 4-18, followed by 0-40 final literals
+  // so the copy lands both far from and right against the end of the output.
+  Rng rng(4);
+  for (std::size_t offset = 1; offset <= 15; ++offset) {
+    for (std::size_t match_len = 4; match_len <= 18; ++match_len) {
+      for (std::size_t tail = 0; tail <= 40; ++tail) {
+        Bytes stream;
+        put_sequence(stream, letters(16, rng), offset, match_len, false);
+        put_sequence(stream, letters(tail, rng), 0, 0, true);
+        const std::size_t raw_size = 16 + match_len + tail;
+        const auto expected = reference_decode(stream, raw_size);
+        ASSERT_TRUE(expected.has_value());
+        Bytes out(raw_size);
+        const auto produced = lz4_decompress_block(stream, out);
+        ASSERT_TRUE(produced.ok()) << produced.status().to_string();
+        ASSERT_EQ(out, *expected) << "offset " << offset << " len " << match_len;
+      }
+    }
+  }
+}
+
+TEST(Lz4Test, RandomSequencesMatchTheByteLoopReference) {
+  // Random streams mixing short and extended literal and match lengths with
+  // offsets biased small, decoded into buffers with 0-40 bytes of slack.
+  Rng rng(5);
+  for (int iter = 0; iter < 2000; ++iter) {
+    Bytes stream;
+    std::size_t produced = 0;
+    const int sequences = 1 + static_cast<int>(rng.next_below(12));
+    for (int s = 0; s < sequences; ++s) {
+      const std::size_t lit =
+          rng.next_below(8) == 0 ? rng.next_below(600) : rng.next_below(16);
+      const std::size_t match_len =
+          rng.next_below(8) == 0 ? 4 + rng.next_below(600) : 4 + rng.next_below(15);
+      const std::size_t reach = produced + lit;
+      if (reach == 0) {
+        put_sequence(stream, letters(1, rng), 1, match_len, false);
+        produced += 1 + match_len;
+        continue;
+      }
+      const std::size_t far = std::min<std::size_t>(reach, 65535);
+      const std::size_t offset =
+          1 + (rng.next_below(2) == 0 ? rng.next_below(std::min<std::size_t>(far, 16))
+                                      : rng.next_below(far));
+      put_sequence(stream, letters(lit, rng), offset, match_len, false);
+      produced += lit + match_len;
+    }
+    put_sequence(stream, letters(rng.next_below(20), rng), 0, 0, true);
+    const auto expected = reference_decode(stream, SIZE_MAX);
+    ASSERT_TRUE(expected.has_value());
+    Bytes out(expected->size() + rng.next_below(41));
+    const auto result = lz4_decompress_block(stream, out);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    ASSERT_EQ(result.value(), expected->size());
+    out.resize(result.value());
+    ASSERT_EQ(out, *expected) << "iteration " << iter;
+  }
+}
+
+TEST(Lz4Test, MutatedTomoBlocksAgreeWithTheReference) {
+  // Corrupted streams: the decoder fails exactly when the reference does,
+  // and otherwise produces the same bytes.
+  Bytes raw;
+  const Bytes block = small_tomo_block(&raw);
+  Rng rng(6);
+  for (int iter = 0; iter < 2000; ++iter) {
+    Bytes mutated = block;
+    mutated[rng.next_below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+    const auto expected = reference_decode(mutated, raw.size());
+    Bytes out(raw.size());
+    const auto result = lz4_decompress_block(mutated, out);
+    ASSERT_EQ(result.ok(), expected.has_value()) << "iteration " << iter;
+    if (result.ok()) {
+      out.resize(result.value());
+      ASSERT_EQ(out, *expected);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- delta_rle
 
 Bytes make_u16_field(std::size_t n_samples, int kind, std::uint64_t seed) {
@@ -343,6 +633,20 @@ TEST(DeltaRleTest, SmoothWalkApproachesOneBytePerSample) {
   auto written = delta_rle_compress(original, compressed);
   ASSERT_TRUE(written.ok());
   EXPECT_LT(written.value(), original.size() * 52 / 100);
+}
+
+TEST(DeltaRleTest, OversizedDeclaredLengthIsDataLoss) {
+  // A header declaring more varint bytes than 3 per sample cannot be valid
+  // and must fail before the decoder sizes any buffer by it.
+  Bytes stream(4);
+  store_le32(stream.data(), 0xFFFFFFFFU);
+  stream.push_back(0x01);
+  stream.push_back(0x00);
+  Bytes out(500);
+  const auto produced = delta_rle_decompress(stream, out);
+  ASSERT_FALSE(produced.ok());
+  EXPECT_EQ(produced.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(produced.status().to_string().find("3 bytes per sample"), std::string::npos);
 }
 
 TEST(DeltaRleTest, FuzzDecodeNeverCrashes) {

@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -190,6 +191,21 @@ TEST(HealthConfigTest, ValidateRejectsBadKnobs) {
 
   config.health = nondefault_health();
   config.health.failed_ratio = config.health.degraded_ratio;  // must be <
+  EXPECT_FALSE(config.validate(topo).is_ok());
+
+  // NaN fails every comparison, so each ratio must be rejected by a check
+  // that NaN cannot pass.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  config.health = nondefault_health();
+  config.health.ewma_alpha = kNaN;
+  EXPECT_FALSE(config.validate(topo).is_ok());
+
+  config.health = nondefault_health();
+  config.health.failed_ratio = kNaN;
+  EXPECT_FALSE(config.validate(topo).is_ok());
+
+  config.health = nondefault_health();
+  config.health.degraded_ratio = kNaN;
   EXPECT_FALSE(config.validate(topo).is_ok());
 
   config.health = nondefault_health();

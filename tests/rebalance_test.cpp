@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -140,6 +141,11 @@ TEST(RebalanceConfigTest, ValidationBoundaries) {
   bad_ratio.rebalance.window_ms = 100;
   bad_ratio.rebalance.imbalance_ratio = 1.0;  // threshold at the mean
   EXPECT_FALSE(bad_ratio.validate(topo).is_ok());
+
+  NodeConfig nan_ratio = rebalancing_receiver_config();
+  nan_ratio.rebalance.window_ms = 100;
+  nan_ratio.rebalance.imbalance_ratio = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(nan_ratio.validate(topo).is_ok());
 
   NodeConfig no_hysteresis = rebalancing_receiver_config();
   no_hysteresis.rebalance.window_ms = 100;
