@@ -2,7 +2,16 @@
 // running the build: LZ4 block codec, delta+RLE codec, xxHash, and the frame
 // wrapper, on synthetic tomographic data. These numbers are hardware-local;
 // the figure benches use the calibrated simulator instead.
+//
+// BENCH_micro_codec.json carries every benchmark's rate in MB/s (10^6
+// bytes) under "mb_per_s" and, for the compressors, the compression ratio
+// under "ratio", keyed by benchmark name.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "codec/codec.h"
@@ -172,6 +181,44 @@ void BM_FrameRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameRoundTrip);
 
+/// The usual console output, plus each benchmark's rate and ratio for the
+/// JSON artifact (the last run wins when a benchmark repeats).
+class RateReporter : public benchmark::ConsoleReporter {
+ public:
+  RateReporter()
+      : ConsoleReporter(isatty(STDOUT_FILENO) != 0 ? OO_ColorTabular
+                                                    : OO_Tabular) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred) {
+        continue;
+      }
+      const auto bytes = run.counters.find("bytes_per_second");
+      if (bytes != run.counters.end()) {
+        mb_per_s.emplace_back(run.benchmark_name(), bytes->second.value / 1e6);
+      }
+      const auto r = run.counters.find("ratio");
+      if (r != run.counters.end()) {
+        ratio.emplace_back(run.benchmark_name(), r->second.value);
+      }
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  std::vector<std::pair<std::string, double>> mb_per_s;
+  std::vector<std::pair<std::string, double>> ratio;
+};
+
+void write_object(bench::JsonWriter& json, const std::string& key,
+                  const std::vector<std::pair<std::string, double>>& values) {
+  json.begin_object(key);
+  for (const auto& [name, value] : values) {
+    json.field(name, value);
+  }
+  json.end_object();
+}
+
 }  // namespace
 }  // namespace numastream
 
@@ -181,12 +228,16 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  const std::size_t benchmarks_run = benchmark::RunSpecifiedBenchmarks();
+  numastream::RateReporter reporter;
+  const std::size_t benchmarks_run =
+      benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
   numastream::bench::JsonWriter json =
       numastream::bench::bench_json("micro_codec", bench_clock.seconds());
   json.field("benchmarks_run", static_cast<double>(benchmarks_run));
+  numastream::write_object(json, "mb_per_s", reporter.mb_per_s);
+  numastream::write_object(json, "ratio", reporter.ratio);
   if (!json.write(numastream::bench::json_artifact_path(
           "BENCH_micro_codec.json"))) {
     std::fprintf(stderr, "failed to write BENCH_micro_codec.json\n");

@@ -1102,8 +1102,8 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
   }
 
   // Fastpath (DESIGN.md §15), receiver half: rings for the receive ->
-  // decompress handoff; the pool additionally backs PullSocket's zero-copy
-  // recv — bodies land in pool-leased buffers, decompressors return them.
+  // decompress handoff; the pool additionally allocates PullSocket's
+  // message bodies, and decompressors return them.
   const FastPathConfig& fp = config_.fastpath;
   FastPathCounters fastpath_counters;
   std::unique_ptr<ChunkPool> pool;
@@ -1278,15 +1278,12 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
           raw = stream.get();
           socket = std::make_unique<PullSocket>(std::move(stream), 256 * 1024,
                                                 on_corruption);
-          if (pool != nullptr &&
-              on_corruption == MessageDecoder::OnCorruption::kFail) {
-            // Zero-copy recv: message bodies are read straight into buffers
-            // leased from this worker's home shelf (strict mode only —
-            // resync needs the decoder's scan buffer; see PullSocket::recv).
+          if (pool != nullptr) {
+            // Strict-mode bodies are read into buffers leased from this
+            // worker's home shelf (resync mode ignores the hook).
             ChunkPool* shelf = pool.get();
             const int dom = ctx.binding.memory_domain;
-            socket->set_buffer_lease(
-                [shelf, dom](std::size_t n) { return shelf->lease(dom, n); });
+            socket->set_buffer_lease([shelf, dom] { return shelf->lease(dom, 0); });
           }
           registry.add(raw);
           consumed = 0;

@@ -113,12 +113,16 @@ struct ResumeHooks {
   ResumeCounters* counters = nullptr;
 };
 
-/// Produces the chunks a sender streams. Implementations must be
-/// thread-safe: every compression thread pulls from the same source.
+/// Produces the chunks a sender streams. StreamSender's compress workers
+/// all call next() on the same source concurrently, with no lock around
+/// it, so an implementation must be thread-safe: each chunk goes to
+/// exactly one caller, and once next() returns nullopt every caller sees
+/// the source exhausted.
 class ChunkSource {
  public:
   virtual ~ChunkSource() = default;
-  /// Next chunk, or nullopt when the dataset is exhausted.
+  /// Next chunk, or nullopt when the dataset is exhausted. Called
+  /// concurrently from every compress worker.
   virtual std::optional<Chunk> next() = 0;
 };
 

@@ -21,11 +21,10 @@
 //
 // Granularity is the NSM1 frame, not the byte: ChaosByteStream buffers
 // written bytes until a complete header+body frame is assembled (using the
-// same decode_message_header validation as the receive fast path), then
-// drops, delays, duplicates or holds-for-reorder whole frames. That keeps
-// chaos runs inside the protocol's state machine — a reordered *frame* is
-// a legal network, a reordered *byte range* is corruption, and corruption
-// is msg/faulty's job.
+// same decode_message_header validation as PullSocket), then drops, delays,
+// duplicates or holds-for-reorder whole frames. That keeps chaos runs inside
+// the protocol's state machine — a reordered *frame* is a legal network, a
+// reordered *byte range* is corruption, and corruption is msg/faulty's job.
 //
 // Time is pluggable: WallChaosClock really sleeps (real-TCP soak tests),
 // VirtualChaosClock only accumulates (simulation and unit tests run a

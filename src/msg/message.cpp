@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "codec/xxhash.h"
 #include "common/assert.h"
@@ -341,136 +340,31 @@ Result<Message> MessageDecoder::next() {
       return unavailable_error("need more bytes for header");
     }
     const std::uint8_t* header = buffer_.data() + consumed_;
-
+    auto decoded = decode_message_header(ByteSpan(header, kMessageHeaderSize));
+    Status violation = decoded.status();
+    if (decoded.ok()) {
+      const std::uint64_t body_size = decoded.value().body_size;
+      if (available < kMessageHeaderSize + body_size) {
+        return unavailable_error("need more bytes for body");
+      }
+      const ByteSpan body(header + kMessageHeaderSize, body_size);
+      if (xxhash32(body) == decoded.value().body_hash) {
+        Message message = std::move(decoded.value().message);
+        message.body.assign(body.begin(), body.end());
+        consumed_ += kMessageHeaderSize + body_size;
+        return message;
+      }
+      violation = data_loss_error("message: body checksum mismatch");
+    }
     // On any violation: sticky failure (kFail) or skip to the next magic and
     // try again (kResync).
-    const auto corruption = [&](std::string why) -> std::optional<Status> {
-      if (on_corruption_ == OnCorruption::kFail) {
-        corrupt_ = true;
-        return data_loss_error(std::move(why));
-      }
-      if (!resync()) {
-        return unavailable_error("resyncing: need more bytes");
-      }
-      return std::nullopt;  // re-locked; caller retries the parse
-    };
-
-    const std::uint32_t magic = load_le32(header);
-    if (magic != kMessageMagic) {
-      if (auto st = corruption("message: bad magic " +
-                               hex_preview(ByteSpan(header, 4)))) {
-        return *st;
-      }
-      continue;
+    if (on_corruption_ == OnCorruption::kFail) {
+      corrupt_ = true;
+      return violation;
     }
-    const std::uint16_t flags = load_le16(header + 16);
-    const std::uint16_t reserved = load_le16(header + 18);
-    const std::uint64_t body_size = load_le64(header + 20);
-    if ((flags & ~kMessageKnownFlags) != 0 || reserved != 0) {
-      if (auto st = corruption("message: unknown flags")) {
-        return *st;
-      }
-      continue;
+    if (!resync()) {
+      return unavailable_error("resyncing: need more bytes");
     }
-    if ((flags & kMessageFlagCredit) != 0 && body_size != 0) {
-      if (auto st = corruption("message: credit frame with a body")) {
-        return *st;
-      }
-      continue;
-    }
-    if ((flags & kMessageFlagResume) != 0) {
-      if ((flags & (kMessageFlagCredit | kMessageFlagEndOfStream |
-                    kMessageFlagRepl | kMessageFlagHandoff)) != 0) {
-        if (auto st = corruption("message: resume frame with conflicting flags")) {
-          return *st;
-        }
-        continue;
-      }
-      if (body_size < kResumeBodyPrefix) {
-        if (auto st = corruption("message: resume frame body too short")) {
-          return *st;
-        }
-        continue;
-      }
-    }
-    if ((flags & kMessageFlagRepl) != 0) {
-      if ((flags & (kMessageFlagCredit | kMessageFlagEndOfStream |
-                    kMessageFlagHandoff)) != 0) {
-        if (auto st = corruption("message: repl frame with conflicting flags")) {
-          return *st;
-        }
-        continue;
-      }
-      if (body_size < kReplBodyPrefix) {
-        if (auto st = corruption("message: repl frame body too short")) {
-          return *st;
-        }
-        continue;
-      }
-    }
-    if ((flags & kMessageFlagHandoff) != 0) {
-      if ((flags & (kMessageFlagCredit | kMessageFlagEndOfStream)) != 0) {
-        if (auto st =
-                corruption("message: handoff frame with conflicting flags")) {
-          return *st;
-        }
-        continue;
-      }
-      if (body_size != kHandoffBodySize) {
-        if (auto st = corruption("message: handoff frame body must be " +
-                                 std::to_string(kHandoffBodySize) + " bytes")) {
-          return *st;
-        }
-        continue;
-      }
-    }
-    if ((flags & kMessageFlagScrub) != 0) {
-      if ((flags & (kMessageFlagCredit | kMessageFlagEndOfStream |
-                    kMessageFlagResume | kMessageFlagRepl |
-                    kMessageFlagHandoff)) != 0) {
-        if (auto st =
-                corruption("message: scrub frame with conflicting flags")) {
-          return *st;
-        }
-        continue;
-      }
-      if (body_size < kScrubBodyPrefix) {
-        if (auto st = corruption("message: scrub frame body too short")) {
-          return *st;
-        }
-        continue;
-      }
-    }
-    if (body_size > kMaxMessageBody) {
-      if (auto st = corruption("message: body size " + std::to_string(body_size) +
-                               " exceeds limit")) {
-        return *st;
-      }
-      continue;
-    }
-    if (available < kMessageHeaderSize + body_size) {
-      return unavailable_error("need more bytes for body");
-    }
-
-    Message message;
-    message.stream_id = load_le32(header + 4);
-    message.sequence = load_le64(header + 8);
-    message.end_of_stream = (flags & kMessageFlagEndOfStream) != 0;
-    message.credit = (flags & kMessageFlagCredit) != 0;
-    message.resume = (flags & kMessageFlagResume) != 0;
-    message.repl = (flags & kMessageFlagRepl) != 0;
-    message.handoff = (flags & kMessageFlagHandoff) != 0;
-    message.scrub = (flags & kMessageFlagScrub) != 0;
-    message.body.assign(header + kMessageHeaderSize,
-                        header + kMessageHeaderSize + body_size);
-    if (xxhash32(message.body) != load_le32(header + 28)) {
-      if (auto st = corruption("message: body checksum mismatch")) {
-        return *st;
-      }
-      continue;
-    }
-    consumed_ += kMessageHeaderSize + body_size;
-    return message;
   }
 }
 

@@ -353,20 +353,17 @@ Bytes encode_message(const Message& message);
 void encode_message_header(const Message& message, MutableByteSpan out);
 
 /// A decoded wire header: the message's identity and flags plus the body
-/// length and checksum still to be read. Produced by decode_message_header
-/// on the pooled-receive fast path, which reads the 32-byte header and then
-/// the body directly into a pool-leased buffer instead of reassembling
-/// through MessageDecoder's internal buffer.
+/// length and checksum still to be read.
 struct MessageHeader {
   Message message;          ///< flags/ids decoded; body empty
   std::uint64_t body_size = 0;
   std::uint32_t body_hash = 0;
 };
 
-/// Validates and decodes a 32-byte wire header (same checks as
-/// MessageDecoder: magic, unknown flags/reserved bits, per-frame-kind body
-/// constraints, kMaxMessageBody). DATA_LOSS on any violation — the fast
-/// path has no resync; callers needing resync use MessageDecoder.
+/// Validates and decodes a 32-byte wire header: magic, unknown
+/// flags/reserved bits, per-frame-kind body constraints, kMaxMessageBody.
+/// DATA_LOSS on any violation. The one header grammar: PullSocket's strict
+/// receive path and MessageDecoder both call it.
 Result<MessageHeader> decode_message_header(ByteSpan header);
 
 /// Incremental decoder: feed() arbitrary byte slices as they arrive from a

@@ -1,5 +1,6 @@
 #include "msg/socket.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "codec/xxhash.h"
@@ -82,74 +83,87 @@ Result<Message> PushSocket::recv_control() {
   }
 }
 
-PullSocket::PullSocket(std::unique_ptr<ByteStream> stream, std::size_t read_buffer,
+PullSocket::PullSocket(std::unique_ptr<ByteStream> stream, std::size_t read_size,
                        MessageDecoder::OnCorruption on_corruption)
     : stream_(std::move(stream)),
-      decoder_(on_corruption),
+      read_size_(read_size),
       on_corruption_(on_corruption),
-      read_buffer_(read_buffer) {
+      decoder_(on_corruption) {
   NS_CHECK(stream_ != nullptr, "PullSocket needs a stream");
-  NS_CHECK(read_buffer > 0, "read buffer must be non-empty");
+  NS_CHECK(read_size > 0, "read size must be non-zero");
 }
 
-void PullSocket::set_buffer_lease(std::function<Bytes(std::size_t)> lease) {
+void PullSocket::set_buffer_lease(std::function<Bytes()> lease) {
   lease_ = std::move(lease);
 }
 
-Result<Message> PullSocket::recv_pooled() {
+Result<Message> PullSocket::recv() {
+  if (on_corruption_ == MessageDecoder::OnCorruption::kResync) {
+    return recv_resync();
+  }
   if (corrupt_) {
     return data_loss_error("message stream previously corrupt");
   }
+  // Past the first header byte the stream position is inside a message, so
+  // every failure from there on leaves the connection unusable.
+  const auto fail = [this](Status status) {
+    corrupt_ = true;
+    return status;
+  };
   std::uint8_t header[kMessageHeaderSize];
   const Status header_read =
       read_exact(*stream_, MutableByteSpan(header, kMessageHeaderSize));
-  if (!header_read.is_ok()) {
-    // read_exact: UNAVAILABLE = clean EOF before any byte (end of stream),
-    // DATA_LOSS = EOF mid-header — both map straight onto recv's contract.
-    return header_read;
+  if (header_read.code() == StatusCode::kUnavailable) {
+    return header_read;  // end of stream before a header, or stream closed
   }
+  if (!header_read.is_ok()) {
+    return fail(header_read);  // EOF mid-header (DATA_LOSS) or a read error
+  }
+  bytes_received_ += kMessageHeaderSize;
   auto decoded = decode_message_header(ByteSpan(header, kMessageHeaderSize));
   if (!decoded.ok()) {
-    corrupt_ = true;  // kFail semantics: framing violations are sticky
-    return decoded.status();
+    return fail(decoded.status());
   }
   Message message = std::move(decoded.value().message);
-  const std::uint64_t body_size = decoded.value().body_size;
-  message.body = lease_(body_size);
-  NS_CHECK(message.body.size() == body_size,
-           "buffer lease returned the wrong size");
-  if (body_size != 0) {
-    const Status body_read = read_exact(*stream_, MutableByteSpan(message.body));
-    if (!body_read.is_ok()) {
-      // EOF anywhere in the body is mid-message, even at its first byte.
-      return body_read.code() == StatusCode::kUnavailable
-                 ? data_loss_error("connection closed mid-message")
-                 : body_read;
+  const std::size_t body_size = decoded.value().body_size;
+  // Read the body in place. The reservation is address space only; the
+  // body grows (and is zero-filled) one read at a time as bytes arrive.
+  Bytes& body = message.body;
+  if (lease_) {
+    body = lease_();
+    body.clear();
+  }
+  body.reserve(body_size);
+  std::size_t filled = 0;
+  while (filled < body_size) {
+    if (body.size() == filled) {
+      body.resize(std::min(body_size, filled + read_size_));
     }
+    auto n = stream_->read_some(MutableByteSpan(body).subspan(filled));
+    if (!n.ok()) {
+      return fail(n.status());
+    }
+    if (n.value() == 0) {
+      return fail(data_loss_error("connection closed mid-message"));
+    }
+    filled += n.value();
+    bytes_received_ += n.value();
   }
-  if (xxhash32(message.body) != decoded.value().body_hash) {
-    corrupt_ = true;
-    return data_loss_error("message: body checksum mismatch");
+  if (xxhash32(body) != decoded.value().body_hash) {
+    return fail(data_loss_error("message: body checksum mismatch"));
   }
-  bytes_received_ += kMessageHeaderSize + body_size;
   return message;
 }
 
-Result<Message> PullSocket::recv() {
-  // Pooled fast path: header read exactly, body read straight into a
-  // pool-leased buffer. Needs strict corruption mode (resync requires the
-  // decoder's scan buffer) and an empty decoder (no legacy bytes buffered).
-  if (lease_ && on_corruption_ == MessageDecoder::OnCorruption::kFail &&
-      decoder_.buffered() == 0) {
-    return recv_pooled();
+Result<Message> PullSocket::recv_resync() {
+  if (read_buffer_.empty()) {
+    read_buffer_.resize(read_size_);
   }
   while (true) {
     auto message = decoder_.next();
-    if (message.ok()) {
+    if (message.ok() ||
+        message.status().code() == StatusCode::kDataLoss) {
       return message;
-    }
-    if (message.status().code() == StatusCode::kDataLoss) {
-      return message.status();
     }
     // Need more bytes.
     auto n = stream_->read_some(read_buffer_);

@@ -65,31 +65,40 @@ class PushSocket {
 
 class PullSocket {
  public:
-  /// `on_corruption` selects the decoder's corruption policy: the strict
-  /// default cuts the connection on any framing violation; kResync re-locks
-  /// onto the next message magic so a hardened receiver survives bit-flips
-  /// at the cost of the corrupted message (see msg/message.h).
+  /// `on_corruption` picks one of two receive paths.
+  ///
+  /// kFail (the strict default) reads each message off the stream as it is
+  /// framed: the 32-byte header exactly, then the body straight into the
+  /// message's own buffer, at most `read_size` bytes per read. There is no
+  /// reassembly buffer and no body copy, and a declared body is zero-filled
+  /// only one read ahead of the bytes that arrived, so a peer announcing
+  /// kMaxMessageBody and then closing costs one read, not a gigabyte of
+  /// writes. Any framing or checksum violation is DATA_LOSS, and the
+  /// connection is unusable after it: a corrupt peer is cut.
+  ///
+  /// kResync reassembles through a MessageDecoder fed from a `read_size`
+  /// scratch buffer (allocated on the first recv), because re-locking onto
+  /// the next message magic after a bit-flip needs the bytes past the
+  /// corrupt header. A hardened receiver survives corruption at the cost of
+  /// the corrupted message (see msg/message.h).
   explicit PullSocket(
-      std::unique_ptr<ByteStream> stream, std::size_t read_buffer = 256 * 1024,
+      std::unique_ptr<ByteStream> stream, std::size_t read_size = 256 * 1024,
       MessageDecoder::OnCorruption on_corruption = MessageDecoder::OnCorruption::kFail);
 
   /// Receives the next message (blocking).
   ///   UNAVAILABLE - clean end of stream (peer finished or disconnected
   ///                 between messages),
-  ///   DATA_LOSS   - corrupt framing or connection lost mid-message.
+  ///   DATA_LOSS   - corrupt framing or connection lost mid-message; in
+  ///                 kFail mode every later recv() returns it too.
   /// An end-of-stream marker message is delivered like any other; callers
   /// check Message::end_of_stream.
   Result<Message> recv();
 
-  /// Installs a buffer lease hook and enables the pooled zero-copy receive
-  /// path: recv() reads the 32-byte header exactly, then reads the body
-  /// directly into `lease(body_size)` — typically a NUMA-local ChunkPool
-  /// lease — instead of reassembling through the decoder's internal buffer
-  /// (one copy saved per message, and the buffer is recyclable). Only takes
-  /// effect in the strict kFail corruption mode: resync needs the decoder's
-  /// scan buffer, so hardened (kResync) receivers keep the legacy path.
-  /// Corruption on the pooled path is sticky DATA_LOSS, matching kFail.
-  void set_buffer_lease(std::function<Bytes(std::size_t)> lease);
+  /// Installs the allocator for strict-mode message bodies: each body is
+  /// read into `lease()`'s buffer, whose contents are discarded and whose
+  /// capacity is reused (typically a NUMA-local ChunkPool buffer). Without
+  /// a hook each body gets a fresh Bytes. kResync mode ignores the hook.
+  void set_buffer_lease(std::function<Bytes()> lease);
 
   /// Writes a credit grant for `grant` messages on the reverse direction of
   /// this connection (credit-based flow control; the paired PushSocket reads
@@ -114,14 +123,15 @@ class PullSocket {
   }
 
  private:
-  Result<Message> recv_pooled();
+  Result<Message> recv_resync();
 
   std::unique_ptr<ByteStream> stream_;
-  MessageDecoder decoder_;
+  std::size_t read_size_;
   MessageDecoder::OnCorruption on_corruption_;
-  Bytes read_buffer_;
+  MessageDecoder decoder_;  // kResync only
+  Bytes read_buffer_;       // kResync only; sized on first use
   std::uint64_t bytes_received_ = 0;
-  std::function<Bytes(std::size_t)> lease_;
+  std::function<Bytes()> lease_;
   bool corrupt_ = false;
 };
 

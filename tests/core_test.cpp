@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
 #include <thread>
 
 #include "core/advisor.h"
@@ -424,6 +426,81 @@ TEST(PipelineTest, TomoChunkSourceIsExactlyCountedAndThreadSafe) {
     t.join();
   }
   EXPECT_EQ(total.load(), 20);
+}
+
+/// Counts deliveries per sequence and chunks whose bytes differ from the
+/// generator's projection for that sequence.
+class SequenceSink final : public ChunkSink {
+ public:
+  explicit SequenceSink(const TomoConfig& tomo) : generator_(tomo) {}
+
+  void deliver(Chunk chunk) override {
+    const bool intact =
+        chunk.payload == generator_.projection(chunk.sequence);
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++deliveries[chunk.sequence];
+    damaged += intact ? 0 : 1;
+  }
+
+  // Guarded by mu_ while the pipeline runs; read after the receiver returns.
+  std::map<std::uint64_t, int> deliveries;
+  int damaged = 0;
+
+ private:
+  std::mutex mu_;
+  TomoGenerator generator_;
+};
+
+// StreamSender's compress workers call ChunkSource::next() concurrently;
+// with four of them racing on one TomoChunkSource, every sequence must
+// still be sent, and delivered intact, exactly once.
+TEST(PipelineTest, ConcurrentCompressorsDeliverEachSequenceOnce) {
+  auto topo = discover_topology();
+  ASSERT_TRUE(topo.ok());
+  TomoConfig tomo;
+  tomo.rows = 32;
+  tomo.cols = 40;
+  tomo.num_spheres = 3;
+
+  NodeConfig sender_config;
+  sender_config.node_name = "sender";
+  sender_config.role = NodeRole::kSender;
+  sender_config.chunk_bytes = tomo.chunk_bytes();
+  sender_config.tasks = {
+      TaskGroupConfig{.type = TaskType::kCompress, .count = 4},
+      TaskGroupConfig{.type = TaskType::kSend, .count = 2},
+  };
+  NodeConfig receiver_config;
+  receiver_config.node_name = "receiver";
+  receiver_config.role = NodeRole::kReceiver;
+  receiver_config.chunk_bytes = tomo.chunk_bytes();
+  receiver_config.tasks = {
+      TaskGroupConfig{.type = TaskType::kReceive, .count = 2},
+      TaskGroupConfig{.type = TaskType::kDecompress, .count = 2},
+  };
+
+  const std::uint64_t kChunks = 200;
+  InprocListener listener;
+  TomoChunkSource source(tomo, /*stream_id=*/3, kChunks);
+  SequenceSink sink(tomo);
+  std::thread sender_thread([&] {
+    StreamSender sender(topo.value(), sender_config);
+    auto stats = sender.run(source, [&] { return listener.connect(); });
+    ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+    EXPECT_EQ(stats.value().chunks, kChunks);
+  });
+  StreamReceiver receiver(topo.value(), receiver_config);
+  auto stats = receiver.run(listener, sink);
+  sender_thread.join();
+  ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+
+  ASSERT_EQ(sink.deliveries.size(), kChunks);
+  EXPECT_EQ(sink.deliveries.begin()->first, 0U);
+  EXPECT_EQ(sink.deliveries.rbegin()->first, kChunks - 1);
+  for (const auto& [sequence, count] : sink.deliveries) {
+    EXPECT_EQ(count, 1) << "sequence " << sequence;
+  }
+  EXPECT_EQ(sink.damaged, 0);
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <limits>
+#include <memory>
 #include <set>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "codec/frame.h"
 #include "codec/xxhash.h"
@@ -502,6 +506,84 @@ std::uint64_t fuzz_seed(std::uint64_t fallback) {
   return std::strtoull(env, nullptr, 10);
 }
 
+/// One seeded message of any kind on the wire: data, credit, resume, REPL,
+/// HANDOFF, SCRUB or end-of-stream. `i` is its position in the conversation.
+Message random_message(Rng& rng, std::size_t i) {
+  Message m;
+  switch (rng.next_u64() % 7) {
+    case 0:
+      m.stream_id = static_cast<std::uint32_t>(rng.next_u64() % 4);
+      m.sequence = i;
+      m.body = random_body(rng.next_u64() % 600, rng.next_u64());
+      break;
+    case 1:
+      m = Message::credit_grant(1 + rng.next_u64() % 64);
+      break;
+    case 2:
+      m = Message::resume_frame(
+          rng.next_u64(),
+          {{static_cast<std::uint32_t>(rng.next_u64() % 4), rng.next_u64()}});
+      break;
+    case 3: {
+      // Gateway replication traffic (cluster/replication): append frames
+      // carry whole journal records, the other kinds are body-less.
+      const auto kind = static_cast<ReplKind>(1 + rng.next_u64() % 4);
+      const Bytes records =
+          kind == ReplKind::kAppend
+              ? random_body((rng.next_u64() % 4) * kReplRecordSize,
+                            rng.next_u64())
+              : Bytes();
+      m = Message::repl_frame(kind, rng.next_u64(), 1 + rng.next_u64() % 8,
+                              i, ByteSpan(records.data(), records.size()));
+      break;
+    }
+    case 4:
+      // Planned-handoff control traffic (cluster/handoff): fixed-size
+      // body, any of the five phases.
+      m = Message::handoff_frame(
+          {.phase = static_cast<HandoffPhase>(1 + rng.next_u64() % 5),
+           .session_id = rng.next_u64(),
+           .epoch = rng.next_u64() % 16,
+           .stream_id = static_cast<std::uint32_t>(rng.next_u64() % 4),
+           .source_gateway = static_cast<std::uint32_t>(rng.next_u64() % 8),
+           .target_gateway = static_cast<std::uint32_t>(rng.next_u64() % 8),
+           .watermark = rng.next_u64()},
+          i);
+      break;
+    case 5: {
+      // Anti-entropy control traffic (cluster/antientropy): digest
+      // replies carry range digests, repair push/reply carry whole
+      // journal records, the request kinds are payload-free.
+      ScrubInfo info;
+      info.kind = static_cast<ScrubKind>(1 + rng.next_u64() % 5);
+      info.session_id = rng.next_u64();
+      info.epoch = rng.next_u64() % 16;
+      info.range = rng.next_u64() % 64;
+      info.range_records = 1 + static_cast<std::uint32_t>(rng.next_u64() % 64);
+      if (info.kind == ScrubKind::kDigestReply) {
+        const std::size_t entries = rng.next_u64() % 4;
+        for (std::size_t d = 0; d < entries; ++d) {
+          info.digests.push_back(
+              {rng.next_u64() % 64,
+               1 + static_cast<std::uint32_t>(rng.next_u64() % 64),
+               static_cast<std::uint32_t>(rng.next_u64())});
+        }
+      } else if (info.kind == ScrubKind::kRepairPush ||
+                 info.kind == ScrubKind::kRepairReply) {
+        info.records = random_body((rng.next_u64() % 3) * kScrubRecordSize,
+                                   rng.next_u64());
+      }
+      m = Message::scrub_frame(info, i);
+      break;
+    }
+    default:
+      m = Message::end_of_stream_marker(
+          static_cast<std::uint32_t>(rng.next_u64() % 4), i);
+      break;
+  }
+  return m;
+}
+
 // Property test for the NSM1 parser: take a valid multi-frame wire image
 // (every frame type — resume, REPL, HANDOFF and SCRUB frames included),
 // mutate it with seeded
@@ -522,78 +604,7 @@ TEST(MessageFuzzTest, MutatedFramesNeverCrashTheDecoder) {
     Bytes wire;
     const std::size_t frame_count = 3 + rng.next_u64() % 6;
     for (std::size_t i = 0; i < frame_count; ++i) {
-      Message m;
-      switch (rng.next_u64() % 7) {
-        case 0:
-          m.stream_id = static_cast<std::uint32_t>(rng.next_u64() % 4);
-          m.sequence = i;
-          m.body = random_body(rng.next_u64() % 600, rng.next_u64());
-          break;
-        case 1:
-          m = Message::credit_grant(1 + rng.next_u64() % 64);
-          break;
-        case 2:
-          m = Message::resume_frame(
-              rng.next_u64(),
-              {{static_cast<std::uint32_t>(rng.next_u64() % 4), rng.next_u64()}});
-          break;
-        case 3: {
-          // Gateway replication traffic (cluster/replication): append frames
-          // carry whole journal records, the other kinds are body-less.
-          const auto kind = static_cast<ReplKind>(1 + rng.next_u64() % 4);
-          const Bytes records =
-              kind == ReplKind::kAppend
-                  ? random_body((rng.next_u64() % 4) * kReplRecordSize,
-                                rng.next_u64())
-                  : Bytes();
-          m = Message::repl_frame(kind, rng.next_u64(), 1 + rng.next_u64() % 8,
-                                  i, ByteSpan(records.data(), records.size()));
-          break;
-        }
-        case 4:
-          // Planned-handoff control traffic (cluster/handoff): fixed-size
-          // body, any of the five phases.
-          m = Message::handoff_frame(
-              {.phase = static_cast<HandoffPhase>(1 + rng.next_u64() % 5),
-               .session_id = rng.next_u64(),
-               .epoch = rng.next_u64() % 16,
-               .stream_id = static_cast<std::uint32_t>(rng.next_u64() % 4),
-               .source_gateway = static_cast<std::uint32_t>(rng.next_u64() % 8),
-               .target_gateway = static_cast<std::uint32_t>(rng.next_u64() % 8),
-               .watermark = rng.next_u64()},
-              i);
-          break;
-        case 5: {
-          // Anti-entropy control traffic (cluster/antientropy): digest
-          // replies carry range digests, repair push/reply carry whole
-          // journal records, the request kinds are payload-free.
-          ScrubInfo info;
-          info.kind = static_cast<ScrubKind>(1 + rng.next_u64() % 5);
-          info.session_id = rng.next_u64();
-          info.epoch = rng.next_u64() % 16;
-          info.range = rng.next_u64() % 64;
-          info.range_records = 1 + static_cast<std::uint32_t>(rng.next_u64() % 64);
-          if (info.kind == ScrubKind::kDigestReply) {
-            const std::size_t entries = rng.next_u64() % 4;
-            for (std::size_t d = 0; d < entries; ++d) {
-              info.digests.push_back(
-                  {rng.next_u64() % 64,
-                   1 + static_cast<std::uint32_t>(rng.next_u64() % 64),
-                   static_cast<std::uint32_t>(rng.next_u64())});
-            }
-          } else if (info.kind == ScrubKind::kRepairPush ||
-                     info.kind == ScrubKind::kRepairReply) {
-            info.records = random_body((rng.next_u64() % 3) * kScrubRecordSize,
-                                       rng.next_u64());
-          }
-          m = Message::scrub_frame(info, i);
-          break;
-        }
-        default:
-          m = Message::end_of_stream_marker(
-              static_cast<std::uint32_t>(rng.next_u64() % 4), i);
-          break;
-      }
+      const Message m = random_message(rng, i);
       original_bodies.insert(xxhash32(m.body));
       const Bytes encoded = encode_message(m);
       wire.insert(wire.end(), encoded.begin(), encoded.end());
@@ -682,6 +693,229 @@ TEST(MessageFuzzTest, MutatedFramesNeverCrashTheDecoder) {
           }
         }
       }
+    }
+  }
+}
+
+// ------------------------------------------------------- strict receive
+
+/// A ByteStream that serves a fixed wire image, then EOF. Read number k
+/// returns at most `reads[k]` bytes (the last entry repeats), so a test
+/// decides exactly where each read boundary falls. Writes are discarded.
+class ScriptedStream final : public ByteStream {
+ public:
+  ScriptedStream(Bytes wire, std::vector<std::size_t> reads)
+      : wire_(std::move(wire)), reads_(std::move(reads)) {}
+
+  Status write_all(ByteSpan /*data*/) override { return Status::ok(); }
+
+  Result<std::size_t> read_some(MutableByteSpan out) override {
+    largest_request_ = std::max(largest_request_, out.size());
+    const std::size_t limit = reads_[std::min(calls_++, reads_.size() - 1)];
+    const std::size_t n =
+        std::min({out.size(), wire_.size() - offset_, limit});
+    std::copy_n(wire_.begin() + static_cast<std::ptrdiff_t>(offset_), n,
+                out.begin());
+    offset_ += n;
+    return n;
+  }
+
+  void shutdown_write() override {}
+
+  /// The largest span any read_some was handed: an upper bound on how much
+  /// of a body the receiver had sized before the bytes arrived.
+  [[nodiscard]] std::size_t largest_request() const { return largest_request_; }
+
+ private:
+  Bytes wire_;
+  std::vector<std::size_t> reads_;
+  std::size_t calls_ = 0;
+  std::size_t offset_ = 0;
+  std::size_t largest_request_ = 0;
+};
+
+constexpr std::size_t kWholeRead = std::numeric_limits<std::size_t>::max();
+
+Bytes wire_of(const std::vector<Message>& messages) {
+  Bytes wire;
+  for (const Message& m : messages) {
+    const Bytes encoded = encode_message(m);
+    wire.insert(wire.end(), encoded.begin(), encoded.end());
+  }
+  return wire;
+}
+
+void expect_same_message(const Message& got, const Message& want) {
+  EXPECT_EQ(got.stream_id, want.stream_id);
+  EXPECT_EQ(got.sequence, want.sequence);
+  EXPECT_EQ(got.end_of_stream, want.end_of_stream);
+  EXPECT_EQ(got.credit, want.credit);
+  EXPECT_EQ(got.resume, want.resume);
+  EXPECT_EQ(got.repl, want.repl);
+  EXPECT_EQ(got.handoff, want.handoff);
+  EXPECT_EQ(got.scrub, want.scrub);
+  EXPECT_EQ(got.body, want.body);
+}
+
+/// Drains a strict PullSocket over `wire` read in `reads`-sized pieces;
+/// returns the messages and the status that ended the stream.
+std::pair<std::vector<Message>, Status> pull_all(
+    Bytes wire, std::vector<std::size_t> reads) {
+  PullSocket pull(std::make_unique<ScriptedStream>(std::move(wire),
+                                                   std::move(reads)));
+  std::vector<Message> got;
+  while (true) {
+    auto m = pull.recv();
+    if (!m.ok()) {
+      return {std::move(got), m.status()};
+    }
+    got.push_back(std::move(m).value());
+  }
+}
+
+std::vector<Message> two_messages() {
+  Message data;
+  data.stream_id = 2;
+  data.sequence = 7;
+  data.body = random_body(50, 3);
+  return {data, Message::end_of_stream_marker(2, 8)};
+}
+
+TEST(PullSocketStrictTest, OneByteReads) {
+  const std::vector<Message> sent = two_messages();
+  auto [got, end] = pull_all(wire_of(sent), {1});
+  ASSERT_EQ(got.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    expect_same_message(got[i], sent[i]);
+  }
+  EXPECT_EQ(end.code(), StatusCode::kUnavailable);
+}
+
+// One read boundary at every offset of the wire: inside the first header,
+// inside its body, between the messages and inside the second header.
+TEST(PullSocketStrictTest, SplitAtEveryOffset) {
+  const std::vector<Message> sent = two_messages();
+  const Bytes wire = wire_of(sent);
+  for (std::size_t split = 1; split < wire.size(); ++split) {
+    auto [got, end] = pull_all(wire, {split, kWholeRead});
+    ASSERT_EQ(got.size(), sent.size()) << "split at " << split;
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      expect_same_message(got[i], sent[i]);
+    }
+    EXPECT_EQ(end.code(), StatusCode::kUnavailable) << "split at " << split;
+  }
+}
+
+TEST(PullSocketStrictTest, EofBetweenMessagesIsUnavailable) {
+  EXPECT_EQ(pull_all({}, {kWholeRead}).second.code(), StatusCode::kUnavailable);
+  const std::vector<Message> sent = two_messages();
+  auto [got, end] = pull_all(encode_message(sent[0]), {kWholeRead});
+  ASSERT_EQ(got.size(), 1U);
+  expect_same_message(got[0], sent[0]);
+  EXPECT_EQ(end.code(), StatusCode::kUnavailable);
+}
+
+TEST(PullSocketStrictTest, EofInsideHeaderIsDataLoss) {
+  const std::vector<Message> sent = two_messages();
+  const Bytes first = encode_message(sent[0]);
+  const Bytes wire = wire_of(sent);
+  for (std::size_t cut = 1; cut < kMessageHeaderSize; ++cut) {
+    EXPECT_EQ(pull_all(Bytes(wire.begin(), wire.begin() + cut), {1})
+                  .second.code(),
+              StatusCode::kDataLoss)
+        << "cut at " << cut;
+    // The same cut in the second message's header, after a whole message.
+    auto [got, end] = pull_all(
+        Bytes(wire.begin(), wire.begin() + first.size() + cut), {kWholeRead});
+    EXPECT_EQ(got.size(), 1U);
+    EXPECT_EQ(end.code(), StatusCode::kDataLoss) << "cut at " << cut;
+  }
+}
+
+TEST(PullSocketStrictTest, EofInsideBodyIsDataLoss) {
+  const Bytes wire = encode_message(two_messages()[0]);
+  // From a complete header with no body byte yet to one body byte short.
+  for (std::size_t cut = kMessageHeaderSize; cut < wire.size(); ++cut) {
+    for (const std::size_t read : {std::size_t{1}, kWholeRead}) {
+      auto [got, end] = pull_all(Bytes(wire.begin(), wire.begin() + cut), {read});
+      EXPECT_TRUE(got.empty());
+      EXPECT_EQ(end.code(), StatusCode::kDataLoss) << "cut at " << cut;
+    }
+  }
+}
+
+TEST(PullSocketStrictTest, BadBodyHashIsStickyDataLoss) {
+  const std::vector<Message> sent = two_messages();
+  Bytes wire = wire_of(sent);
+  wire[kMessageHeaderSize + 10] ^= 0x40;  // a body byte of the first message
+  PullSocket pull(std::make_unique<ScriptedStream>(
+      wire, std::vector<std::size_t>{kWholeRead}));
+  EXPECT_EQ(pull.recv().status().code(), StatusCode::kDataLoss);
+  // The intact end-of-stream marker behind it is never delivered.
+  EXPECT_EQ(pull.recv().status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(pull.recv().status().code(), StatusCode::kDataLoss);
+}
+
+TEST(PullSocketStrictTest, BadHeaderIsStickyDataLoss) {
+  const std::vector<Message> sent = two_messages();
+  Bytes wire = wire_of(sent);
+  wire[0] ^= 0x01;  // magic
+  PullSocket pull(std::make_unique<ScriptedStream>(
+      wire, std::vector<std::size_t>{kWholeRead}));
+  EXPECT_EQ(pull.recv().status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(pull.recv().status().code(), StatusCode::kDataLoss);
+}
+
+// A peer declares the largest legal body and hangs up after a few bytes.
+// The receiver must answer DATA_LOSS after reading what was sent, having
+// sized no more of the body than one read ahead of the bytes that arrived.
+TEST(PullSocketStrictTest, MaxDeclaredBodyThenEofIsPromptDataLoss) {
+  Message m;
+  m.body = random_body(1000, 5);
+  Bytes wire = encode_message(m);
+  store_le64(wire.data() + 20, kMaxMessageBody);
+  auto stream = std::make_unique<ScriptedStream>(
+      wire, std::vector<std::size_t>{kWholeRead});
+  const ScriptedStream& script = *stream;
+  constexpr std::size_t kReadSize = 64 * 1024;
+  PullSocket pull(std::move(stream), kReadSize);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(pull.recv().status().code(), StatusCode::kDataLoss);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_LE(script.largest_request(), kReadSize);
+  EXPECT_EQ(pull.bytes_received(), wire.size());
+}
+
+// The strict path and MessageDecoder agree byte for byte on seeded
+// conversations of every frame kind, whatever the read boundaries.
+TEST(PullSocketStrictTest, MatchesMessageDecoder) {
+  Rng rng(fuzz_seed(0x57A1C7ULL));
+  for (int round = 0; round < 200; ++round) {
+    std::vector<Message> sent;
+    const std::size_t count = 1 + rng.next_u64() % 12;
+    for (std::size_t i = 0; i < count; ++i) {
+      sent.push_back(random_message(rng, i));
+    }
+    const Bytes wire = wire_of(sent);
+
+    MessageDecoder decoder;
+    decoder.feed(wire);
+    std::vector<Message> decoded;
+    for (auto m = decoder.next(); m.ok(); m = decoder.next()) {
+      decoded.push_back(std::move(m).value());
+    }
+
+    std::vector<std::size_t> reads;
+    for (int r = 0; r < 16; ++r) {
+      reads.push_back(1 + rng.next_u64() % (rng.next_u64() % 2 == 0 ? 7 : 700));
+    }
+    auto [pulled, end] = pull_all(wire, reads);
+    EXPECT_EQ(end.code(), StatusCode::kUnavailable) << "round " << round;
+    ASSERT_EQ(pulled.size(), sent.size()) << "round " << round;
+    ASSERT_EQ(decoded.size(), sent.size()) << "round " << round;
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      expect_same_message(pulled[i], decoded[i]);
+      expect_same_message(pulled[i], sent[i]);
     }
   }
 }
