@@ -14,6 +14,9 @@
 # exit means the credit/budget/drain/observe machinery is free of data
 # races, not just functionally green.
 #
+# A suite in SUITES that matches no test fails the run before any test
+# starts (scripts/require_suites.sh), so a renamed suite cannot drop out.
+#
 #   $ scripts/check_tsan.sh [extra ctest args...]
 #
 # Uses a separate build-tsan/ tree so the regular build/ stays fast.
@@ -27,8 +30,23 @@ cmake --build build-tsan
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
+SUITES=(
+  BoundedQueueTest Shapes/BoundedQueueMpmc SpscRingTest MemoryBudgetTest
+  OverloadCountersTest OverloadPipelineTest ChaosOverloadTest PipelineTest
+  TcpPipelineTest ChaosPipelineTest WatchdogTest MigrationCoordinatorTest
+  MigrationPipelineTest WatchdogDrainTest SpanRingTest TracerTest
+  StageLatenciesTest MetricsRegistryTest SnapshotSamplerTest
+  PipelineObservabilityTest ThroughputMeterTest ResumePipelineTest
+  ChaosResumeTest ReplicationTest EpochFenceTest GatewayFailoverTest
+  HandoffProtocolTest ChaosHandoffTest AntiEntropyTest ScrubConcurrencyTest
+  MpscRingTest FanInQueueTest CancelSignalTest StageChannelTest
+  FastpathPipelineTest ChaosNetTest ChaosHarnessTest AsymmetricPartitionTest
+  ChaosExplorerTest
+)
+scripts/require_suites.sh build-tsan "${SUITES[@]}"
+
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(BoundedQueueTest|BoundedQueueMpmc|SpscRingTest|MemoryBudgetTest|OverloadCountersTest|OverloadPipelineTest|ChaosOverloadTest|PipelineTest|TcpPipelineTest|ChaosPipelineTest|WatchdogTest|MigrationCoordinatorTest|MigrationPipelineTest|WatchdogDrainTest|SpanRingTest|TracerTest|StageLatenciesTest|MetricsRegistryTest|SnapshotSamplerTest|PipelineObservabilityTest|ThroughputMeterTest|ResumePipelineTest|ChaosResumeTest|ReplicationTest|EpochFenceTest|GatewayFailoverTest|HandoffProtocolTest|ChaosHandoffTest|AntiEntropyTest|ScrubConcurrencyTest|MpscRingTest|FanInQueueTest|CancelSignalTest|StageChannelTest|ChunkPoolTest|FastpathPipelineTest|ChaosNetTest|ChaosHarnessTest|AsymmetricPartitionTest|ChaosExplorerTest)' \
+  -R "^($(IFS='|'; echo "${SUITES[*]}"))" \
   "$@"
 
 echo

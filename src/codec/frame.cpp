@@ -8,12 +8,7 @@
 namespace numastream {
 
 Bytes encode_frame(const Codec& codec, ByteSpan raw) {
-  Bytes frame;
-  encode_frame_into(codec, raw, frame);
-  return frame;
-}
-
-void encode_frame_into(const Codec& codec, ByteSpan raw, Bytes& out) {
+  Bytes out;
   // Compress straight into the frame's payload region, sized by the codec's
   // bound; no scratch buffer.
   out.resize(kFrameHeaderSize + codec.max_compressed_size(raw.size()));
@@ -43,6 +38,7 @@ void encode_frame_into(const Codec& codec, ByteSpan raw, Bytes& out) {
   store_le64(p + 16, payload_size);
   store_le32(p + 24, xxhash32(ByteSpan(p + kFrameHeaderSize, payload_size)));
   store_le32(p + 28, xxhash32(raw));
+  return out;
 }
 
 Result<FrameView> decode_frame(ByteSpan frame) {

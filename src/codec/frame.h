@@ -44,14 +44,6 @@ struct FrameView {
 /// both cases identically.
 Bytes encode_frame(const Codec& codec, ByteSpan raw);
 
-/// encode_frame, but building the frame inside `out` — the codec compresses
-/// directly into `out`'s tail (no scratch buffer, no join copy), and `out`'s
-/// existing capacity is reused when it suffices. This is the pooled-buffer
-/// path: a compressor leases a recycled chunk buffer, encodes into it, and
-/// the same allocation rides the queue, the socket, and the pool again.
-/// Byte-identical output to encode_frame.
-void encode_frame_into(const Codec& codec, ByteSpan raw, Bytes& out);
-
 /// Parses and validates a frame header + payload checksum. The returned view
 /// borrows `frame`; it is valid while `frame` lives.
 Result<FrameView> decode_frame(ByteSpan frame);

@@ -26,7 +26,7 @@
 //             [drain_degraded=on|off]
 //   scrub cadence_ms=<n> [range_records=<n>] [budget_records=<n>]
 //         [repair_concurrency=<n>]
-//   fastpath [rings=on|off] [pool_buffers=<n>]
+//   fastpath [rings=on|off]
 //   task <type> count=<n> exec=<domain|os>[,<domain|os>...] mem=<domain|os> [stream=<id>]
 //
 // Every directive except `priority` and `task` may appear at most once —
@@ -382,8 +382,7 @@ const std::vector<Directive>& directives() {
           field<&ScrubConfig::repair_concurrency>("repair_concurrency")),
       policy<&NodeConfig::fastpath>(
           "fastpath",
-          field<&FastPathConfig::rings>("rings"),
-          field<&FastPathConfig::pool_buffers>("pool_buffers")),
+          field<&FastPathConfig::rings>("rings")),
   };
   return table;
 }
@@ -757,15 +756,13 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
           "re-verify without one)");
     }
   }
-  if (fastpath.enabled()) {
-    if (fastpath.rings && (overload.shed_policy == ShedPolicy::kDropOldest ||
-                           overload.shed_policy == ShedPolicy::kPriorityEvict)) {
-      return invalid_argument_error(
-          "config: fastpath rings=on is incompatible with shed policy '" +
-          to_string(overload.shed_policy) +
-          "' (a lock-free ring cannot evict interior elements; use block or "
-          "drop_newest)");
-    }
+  if (fastpath.rings && (overload.shed_policy == ShedPolicy::kDropOldest ||
+                         overload.shed_policy == ShedPolicy::kPriorityEvict)) {
+    return invalid_argument_error(
+        "config: fastpath rings=on is incompatible with shed policy '" +
+        to_string(overload.shed_policy) +
+        "' (a lock-free ring cannot evict interior elements; use block or "
+        "drop_newest)");
   }
   if (tasks.empty()) {
     return invalid_argument_error("config: no task groups");

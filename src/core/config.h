@@ -314,17 +314,14 @@ struct ScrubConfig {
 };
 
 /// Lock-free fast path (default off, DESIGN.md §15): replaces the pipeline's
-/// mutex BoundedQueue handoffs with cache-line-padded MPSC rings and
-/// recycles chunk buffers through a NUMA-local pool. Off (the default) the
-/// runtime behaves — and serializes — exactly as before.
+/// mutex BoundedQueue handoffs with cache-line-padded MPSC rings. Off (the
+/// default) the runtime behaves — and serializes — exactly as before.
 struct FastPathConfig {
   /// Lock-free fan-in rings for the compressor->sender and
   /// receiver->decompressor handoffs. Incompatible with the evicting shed
   /// policies (drop_oldest / priority_evict): a ring cannot scan-and-remove
   /// interior elements — validate() rejects the combination.
   bool rings = false;
-  /// Buffers the chunk pool shelves per NUMA domain; 0 disables pooling.
-  std::uint32_t pool_buffers = 0;
 
   [[nodiscard]] bool is_default() const { return *this == FastPathConfig{}; }
 

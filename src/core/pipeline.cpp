@@ -21,7 +21,6 @@
 #include "core/journal.h"
 #include "core/stage_channel.h"
 #include "core/watchdog.h"
-#include "data/chunk_pool.h"
 #include "metrics/fastpath_counters.h"
 #include "metrics/resume_counters.h"
 #include "metrics/throughput.h"
@@ -406,19 +405,11 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
   }
 
   // The fastpath directive (DESIGN.md §15): rings swaps the handoff below
-  // for per-consumer lock-free MPSC rings; pool_buffers keeps retired chunk
-  // buffers on NUMA-local shelves so steady state allocates each one once.
-  const FastPathConfig& fp = config_.fastpath;
+  // for per-consumer lock-free MPSC rings.
   FastPathCounters fastpath_counters;
-  std::unique_ptr<ChunkPool> pool;
-  if (fp.pool_buffers > 0) {
-    pool = std::make_unique<ChunkPool>(
-        std::max<std::size_t>(1, topo_.domain_count()), fp.pool_buffers,
-        &fastpath_counters);
-  }
   StageChannel<Message> queue(config_.queue_capacity,
-                              static_cast<std::size_t>(send.count), fp.rings,
-                              &fastpath_counters);
+                              static_cast<std::size_t>(send.count),
+                              config_.fastpath.rings, &fastpath_counters);
   // Teardown wakes parked queue waiters through the CV instead of leaving
   // them to poll the raised flag (the old 1 ms busy-poll).
   queue.bind_cancel(registry.cancel_signal());
@@ -694,9 +685,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
         MigrationPoller migrate(
             topo_, health, health_on, TaskType::kSend,
             "send-" + std::to_string(ctx.worker_index) + "-migrate", recorder);
-        // Retired bodies go back to this worker's home shelf; under the
-        // paper's aligned placement that is also the compressors' domain.
-        const int pool_domain = ctx.binding.memory_domain;
         // Send workers come after the compress workers in the trace's
         // worker-id space (see ObsHooks::tracer).
         const auto trace_worker =
@@ -748,9 +736,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
               if (budget != nullptr) {
                 budget->release(charged_stream, charge);
               }
-              if (pool != nullptr) {
-                pool->recycle(pool_domain, std::move(message->body));
-              }
               sent_messages.fetch_add(1, std::memory_order_relaxed);
               continue;
             }
@@ -795,10 +780,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
             // journal holds only the hash, and a receiver restart will ask
             // for the bytes again.
             retained.push_back(std::move(*message));
-          } else if (pool != nullptr) {
-            // The frame left the wire; its buffer goes back on the shelf for
-            // the next chunk compressed on this domain.
-            pool->recycle(pool_domain, std::move(message->body));
           }
           sent_messages.fetch_add(1, std::memory_order_relaxed);
         }
@@ -849,14 +830,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
             "comp-" + std::to_string(ctx.worker_index) + "-migrate", recorder);
         const auto trace_worker = static_cast<std::uint32_t>(ctx.worker_index);
         const int obs_domain = ctx.binding.execution_domain;
-        const int pool_domain = ctx.binding.memory_domain;
-        // Disposal for frames this worker sheds before they reach the queue:
-        // the body goes back on the shelf instead of through the allocator.
-        const auto recycle_body = [&](Message& dead) {
-          if (pool != nullptr) {
-            pool->recycle(pool_domain, std::move(dead.body));
-          }
-        };
         // Keep frames newer (higher sequence) over older, and — for the
         // priority policy — higher-priority streams over lower, newer over
         // older within a priority class.
@@ -900,15 +873,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
           message.stream_id = chunk->stream_id;
           message.sequence = chunk->sequence;
           const std::uint64_t compress_t0 = obr.observing() ? obr.now_ns() : 0;
-          if (pool != nullptr) {
-            // Lease a recycled buffer and compress straight into it — the
-            // steady state reuses the same NUMA-local allocation per slot.
-            Bytes body = pool->lease(pool_domain, 0);
-            encode_frame_into(*active, chunk->payload, body);
-            message.body = std::move(body);
-          } else {
-            message.body = encode_frame(*active, chunk->payload);
-          }
+          message.body = encode_frame(*active, chunk->payload);
           if (obr.observing()) {
             obr.note(obs::Stage::kCompress, chunk->stream_id, chunk->sequence,
                      trace_worker, obs_domain, compress_t0, obr.now_ns());
@@ -931,7 +896,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
             if (shedding.load(std::memory_order_relaxed)) {
               if (ov.shed_policy == ShedPolicy::kDropNewest) {
                 oc.shed_newest.fetch_add(1, std::memory_order_relaxed);
-                recycle_body(message);
                 continue;  // the incoming frame is the casualty
               }
               if (ov.shed_policy == ShedPolicy::kDropOldest) {
@@ -940,7 +904,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
                   if (budget != nullptr) {
                     budget->release(evicted->stream_id, evicted->body.size());
                   }
-                  recycle_body(*evicted);
                 }
                 // fall through: admit the incoming frame
               } else {  // kPriorityEvict
@@ -949,11 +912,9 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
                   if (budget != nullptr) {
                     budget->release(evicted->stream_id, evicted->body.size());
                   }
-                  recycle_body(*evicted);
                 } else {
                   // The incoming frame is the least valuable — shed it.
                   oc.shed_newest.fetch_add(1, std::memory_order_relaxed);
-                  recycle_body(message);
                   continue;
                 }
               }
@@ -976,7 +937,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
             } else if (!budget->try_acquire(message.stream_id, charge).is_ok()) {
               oc.budget_rejections.fetch_add(1, std::memory_order_relaxed);
               oc.shed_newest.fetch_add(1, std::memory_order_relaxed);
-              recycle_body(message);
               continue;
             }
           }
@@ -1102,19 +1062,11 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
   }
 
   // Fastpath (DESIGN.md §15), receiver half: rings for the receive ->
-  // decompress handoff; the pool additionally allocates PullSocket's
-  // message bodies, and decompressors return them.
-  const FastPathConfig& fp = config_.fastpath;
+  // decompress handoff.
   FastPathCounters fastpath_counters;
-  std::unique_ptr<ChunkPool> pool;
-  if (fp.pool_buffers > 0) {
-    pool = std::make_unique<ChunkPool>(
-        std::max<std::size_t>(1, topo_.domain_count()), fp.pool_buffers,
-        &fastpath_counters);
-  }
   StageChannel<Message> queue(config_.queue_capacity,
                               static_cast<std::size_t>(decompress.count),
-                              fp.rings, &fastpath_counters);
+                              config_.fastpath.rings, &fastpath_counters);
   queue.bind_cancel(registry.cancel_signal());
   ErrorCollector errors;
   std::atomic<std::uint64_t> chunks{0};
@@ -1278,13 +1230,6 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
           raw = stream.get();
           socket = std::make_unique<PullSocket>(std::move(stream), 256 * 1024,
                                                 on_corruption);
-          if (pool != nullptr) {
-            // Strict-mode bodies are read into buffers leased from this
-            // worker's home shelf (resync mode ignores the hook).
-            ChunkPool* shelf = pool.get();
-            const int dom = ctx.binding.memory_domain;
-            socket->set_buffer_lease([shelf, dom] { return shelf->lease(dom, 0); });
-          }
           registry.add(raw);
           consumed = 0;
           resume_tick = 0;
@@ -1495,12 +1440,6 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
         const auto trace_worker =
             static_cast<std::uint32_t>(receive.count + ctx.worker_index);
         const int obs_domain = ctx.binding.execution_domain;
-        const int pool_domain = ctx.binding.memory_domain;
-        const auto recycle_body = [&](Message& done_with) {
-          if (pool != nullptr) {
-            pool->recycle(pool_domain, std::move(done_with.body));
-          }
-        };
         int consecutive_corrupt = 0;
         while (auto message = queue.pop(
                    static_cast<std::size_t>(ctx.worker_index), qcancel)) {
@@ -1517,7 +1456,6 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
           if (stream_evicted(charged_stream)) {
             oc.evicted_chunks.fetch_add(1, std::memory_order_relaxed);
             settle();
-            recycle_body(*message);
             continue;  // the stream was cut for falling behind
           }
           bool resynced = false;
@@ -1526,9 +1464,6 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
               recovery.reconnect
                   ? decode_frame_content_resync(message->body, &resynced)
                   : decode_frame_content(message->body);
-          // The decode copied out everything it needed; whatever happens to
-          // the frame below, its wire buffer can go back on the shelf now.
-          recycle_body(*message);
           if (obr.observing() && content.ok()) {
             obr.note(obs::Stage::kDecompress, message->stream_id,
                      message->sequence, trace_worker, obs_domain, decompress_t0,

@@ -1,14 +1,9 @@
 // FastPathCounters: the lock-free chunk path's ledger.
 //
 // Accounts for what the fastpath subsystem (DESIGN.md §15) did during a
-// run: ring handoffs taken instead of mutex-queue handoffs, waiter parkings
-// on the fan-in queues' eventcounts (a healthy pipeline parks rarely — the
-// rings absorb the jitter), and the NUMA-local chunk pool's lease traffic.
-// pool_hits vs pool_misses is the headline: a hit recycles an 11 MiB buffer
-// already resident on the worker's home domain, a miss pays a fresh
-// allocation plus first-touch faulting. pool_discards counts returns the
-// pool turned away because the shelf was full (the buffer frees normally —
-// never a leak, the exactly-once test in fastpath_test.cpp pins this down).
+// run: ring handoffs taken instead of mutex-queue handoffs, and waiter
+// parkings on the fan-in queues' eventcounts (a healthy pipeline parks
+// rarely — the rings absorb the jitter).
 //
 // Counters are relaxed atomics, each padded to its own cache line
 // (PaddedCounter): compressors, senders, receivers and decompressors all
@@ -19,18 +14,9 @@
 
 #include "metrics/ledger.h"
 
-// The ring traffic first, then the pool's lease lifecycle in the order a
-// buffer experiences it.
 #define NS_FASTPATH_COUNTERS(X)                                              \
-  /* Ring handoffs. */                                                       \
   X(ring_pushes, "elements through the fan-in rings")                        \
-  X(ring_parks, "waits that actually parked a thread")                       \
-  /* Pool traffic. */                                                        \
-  X(pool_leases, "buffers handed out")                                       \
-  X(pool_hits, "leases served by recycling")                                 \
-  X(pool_misses, "leases that had to allocate")                              \
-  X(pool_recycles, "buffers returned and shelved")                           \
-  X(pool_discards, "returns dropped (shelf full)")
+  X(ring_parks, "waits that actually parked a thread")
 
 namespace numastream {
 
@@ -39,7 +25,7 @@ struct FastPathCountersSnapshot {
   NS_LEDGER_SNAPSHOT(FastPathCountersSnapshot, NS_FASTPATH_COUNTERS)
 };
 
-/// Thread-safe counter set shared by the fan-in queues and the chunk pool.
+/// Thread-safe counter set shared by the fan-in queues.
 class FastPathCounters {
  public:
   NS_LEDGER_COUNTERS(FastPathCounters, FastPathCountersSnapshot,

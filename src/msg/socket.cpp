@@ -8,6 +8,81 @@
 
 namespace numastream {
 
+namespace {
+
+// The strict read of one message, shared by PullSocket::recv and
+// PushSocket::recv_control: the 32-byte header read in full,
+// decode_message_header, the caller's `body_limit` checked against the
+// declared size before any body byte is read, the body read in place into
+// Message::body, then its xxhash32 check. The body is reserved at its
+// declared size (address space only) and grown, zero-filled, one
+// `read_size` read at a time, so it is never sized more than one read
+// ahead of the bytes that arrived.
+//
+// A stream that ends before a header byte is UNAVAILABLE. One that ends
+// inside a message fails with `cut`. Every failure past the first header
+// byte sets the sticky `corrupt`: the connection is unusable after it.
+Result<Message> read_strict(ByteStream& stream, std::size_t read_size,
+                            std::size_t body_limit, const char* limit_name,
+                            StatusCode cut, bool& corrupt,
+                            std::uint64_t& bytes_read) {
+  if (corrupt) {
+    return data_loss_error("message stream previously corrupt");
+  }
+  const auto fail = [&corrupt](Status status) {
+    corrupt = true;
+    return status;
+  };
+  std::uint8_t header[kMessageHeaderSize];
+  for (std::size_t got = 0; got < kMessageHeaderSize;) {
+    auto n = stream.read_some(
+        MutableByteSpan(header + got, kMessageHeaderSize - got));
+    if (!n.ok()) {
+      return got == 0 ? n.status() : fail(n.status());
+    }
+    if (n.value() == 0) {
+      return got == 0 ? unavailable_error("end of stream")
+                      : fail(Status(cut, "stream ended inside a message header"));
+    }
+    got += n.value();
+  }
+  bytes_read += kMessageHeaderSize;
+  auto decoded = decode_message_header(ByteSpan(header, kMessageHeaderSize));
+  if (!decoded.ok()) {
+    return fail(decoded.status());
+  }
+  const std::size_t body_size = decoded.value().body_size;
+  if (body_size > body_limit) {
+    return fail(data_loss_error("message body of " + std::to_string(body_size) +
+                                " bytes exceeds " + limit_name + " (" +
+                                std::to_string(body_limit) + ")"));
+  }
+  Message message = std::move(decoded.value().message);
+  Bytes& body = message.body;
+  body.reserve(body_size);
+  std::size_t filled = 0;
+  while (filled < body_size) {
+    if (body.size() == filled) {
+      body.resize(std::min(body_size, filled + read_size));
+    }
+    auto n = stream.read_some(MutableByteSpan(body).subspan(filled));
+    if (!n.ok()) {
+      return fail(n.status());
+    }
+    if (n.value() == 0) {
+      return fail(Status(cut, "connection closed mid-message"));
+    }
+    filled += n.value();
+    bytes_read += n.value();
+  }
+  if (xxhash32(body) != decoded.value().body_hash) {
+    return fail(data_loss_error("message: body checksum mismatch"));
+  }
+  return message;
+}
+
+}  // namespace
+
 PushSocket::PushSocket(std::unique_ptr<ByteStream> stream) : stream_(std::move(stream)) {
   NS_CHECK(stream_ != nullptr, "PushSocket needs a stream");
 }
@@ -48,39 +123,16 @@ Result<std::uint64_t> PushSocket::recv_credit() {
 }
 
 Result<Message> PushSocket::recv_control() {
-  if (credit_buffer_.empty()) {
-    credit_buffer_.resize(kMaxControlBody);  // control frames are small
+  // A stream cut inside a control frame is a closed control channel, like
+  // a clean close: UNAVAILABLE, so the sender redials.
+  std::uint64_t bytes_read = 0;
+  auto message =
+      read_strict(*stream_, kMaxControlBody, kMaxControlBody, "kMaxControlBody",
+                  StatusCode::kUnavailable, control_corrupt_, bytes_read);
+  if (message.ok() && !message.value().credit && !message.value().resume) {
+    return data_loss_error("control channel carried a data message");
   }
-  while (true) {
-    auto message = credit_decoder_.next();
-    if (message.ok()) {
-      if (!message.value().credit && !message.value().resume) {
-        return data_loss_error("control channel carried a data message");
-      }
-      if (message.value().body.size() > kMaxControlBody) {
-        // Fail loudly: a control frame this large means a confused or
-        // hostile peer, and quietly accepting (or truncating) it would turn
-        // a protocol violation into silent state divergence.
-        return data_loss_error(
-            "control frame body of " +
-            std::to_string(message.value().body.size()) +
-            " bytes exceeds kMaxControlBody (" +
-            std::to_string(kMaxControlBody) + ")");
-      }
-      return message;
-    }
-    if (message.status().code() == StatusCode::kDataLoss) {
-      return message.status();
-    }
-    auto n = stream_->read_some(credit_buffer_);
-    if (!n.ok()) {
-      return n.status();
-    }
-    if (n.value() == 0) {
-      return unavailable_error("peer closed the control channel");
-    }
-    credit_decoder_.feed(ByteSpan(credit_buffer_.data(), n.value()));
-  }
+  return message;
 }
 
 PullSocket::PullSocket(std::unique_ptr<ByteStream> stream, std::size_t read_size,
@@ -93,66 +145,12 @@ PullSocket::PullSocket(std::unique_ptr<ByteStream> stream, std::size_t read_size
   NS_CHECK(read_size > 0, "read size must be non-zero");
 }
 
-void PullSocket::set_buffer_lease(std::function<Bytes()> lease) {
-  lease_ = std::move(lease);
-}
-
 Result<Message> PullSocket::recv() {
   if (on_corruption_ == MessageDecoder::OnCorruption::kResync) {
     return recv_resync();
   }
-  if (corrupt_) {
-    return data_loss_error("message stream previously corrupt");
-  }
-  // Past the first header byte the stream position is inside a message, so
-  // every failure from there on leaves the connection unusable.
-  const auto fail = [this](Status status) {
-    corrupt_ = true;
-    return status;
-  };
-  std::uint8_t header[kMessageHeaderSize];
-  const Status header_read =
-      read_exact(*stream_, MutableByteSpan(header, kMessageHeaderSize));
-  if (header_read.code() == StatusCode::kUnavailable) {
-    return header_read;  // end of stream before a header, or stream closed
-  }
-  if (!header_read.is_ok()) {
-    return fail(header_read);  // EOF mid-header (DATA_LOSS) or a read error
-  }
-  bytes_received_ += kMessageHeaderSize;
-  auto decoded = decode_message_header(ByteSpan(header, kMessageHeaderSize));
-  if (!decoded.ok()) {
-    return fail(decoded.status());
-  }
-  Message message = std::move(decoded.value().message);
-  const std::size_t body_size = decoded.value().body_size;
-  // Read the body in place. The reservation is address space only; the
-  // body grows (and is zero-filled) one read at a time as bytes arrive.
-  Bytes& body = message.body;
-  if (lease_) {
-    body = lease_();
-    body.clear();
-  }
-  body.reserve(body_size);
-  std::size_t filled = 0;
-  while (filled < body_size) {
-    if (body.size() == filled) {
-      body.resize(std::min(body_size, filled + read_size_));
-    }
-    auto n = stream_->read_some(MutableByteSpan(body).subspan(filled));
-    if (!n.ok()) {
-      return fail(n.status());
-    }
-    if (n.value() == 0) {
-      return fail(data_loss_error("connection closed mid-message"));
-    }
-    filled += n.value();
-    bytes_received_ += n.value();
-  }
-  if (xxhash32(body) != decoded.value().body_hash) {
-    return fail(data_loss_error("message: body checksum mismatch"));
-  }
-  return message;
+  return read_strict(*stream_, read_size_, kMaxMessageBody, "kMaxMessageBody",
+                     StatusCode::kDataLoss, corrupt_, bytes_received_);
 }
 
 Result<Message> PullSocket::recv_resync() {

@@ -5,7 +5,6 @@
 // threads, x TCP streams" layout.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "msg/message.h"
@@ -14,11 +13,11 @@
 namespace numastream {
 
 /// Upper bound on a control frame's body (credit grants are body-less;
-/// RESUME bodies grow with stream count — 340 streams fit). The control
-/// path reassembles through a small buffer sized for frames like these; a
-/// peer announcing a larger control body gets a loud DATA_LOSS instead of
-/// undefined truncation behaviour. Raise the constant if a deployment ever
-/// legitimately resumes >340 streams per connection.
+/// RESUME bodies grow with stream count — 340 streams fit). recv_control
+/// checks it against the size a frame's header declares, before it reads
+/// a byte of the body: a peer announcing a larger control body gets a loud
+/// DATA_LOSS, and the frame is never buffered. Raise the constant if a
+/// deployment ever legitimately resumes >340 streams per connection.
 inline constexpr std::size_t kMaxControlBody = 4096;
 
 class PushSocket {
@@ -47,9 +46,12 @@ class PushSocket {
   /// Blocks until the peer's next *control* message arrives on the reverse
   /// direction — a credit grant or a RESUME handshake (crash recovery,
   /// DESIGN.md §11). The generalization of recv_credit for resume-enabled
-  /// sessions, where the receiver interleaves both frame kinds.
-  ///   UNAVAILABLE - peer closed the reverse channel,
-  ///   DATA_LOSS   - the reverse channel carried a data message.
+  /// sessions, where the receiver interleaves both frame kinds. Frames are
+  /// read like PullSocket's strict path, with no reassembly buffer.
+  ///   UNAVAILABLE - peer closed the reverse channel, also inside a frame
+  ///                 (the sender redials, as for a clean close),
+  ///   DATA_LOSS   - the reverse channel carried a data message, a body
+  ///                 over kMaxControlBody, or corrupt framing (sticky).
   Result<Message> recv_control();
 
   /// Bytes pushed so far, including headers (for throughput accounting).
@@ -57,10 +59,9 @@ class PushSocket {
 
  private:
   std::unique_ptr<ByteStream> stream_;
-  MessageDecoder credit_decoder_;
-  Bytes credit_buffer_;
   std::uint64_t bytes_sent_ = 0;
   bool finished_ = false;
+  bool control_corrupt_ = false;
 };
 
 class PullSocket {
@@ -94,12 +95,6 @@ class PullSocket {
   /// check Message::end_of_stream.
   Result<Message> recv();
 
-  /// Installs the allocator for strict-mode message bodies: each body is
-  /// read into `lease()`'s buffer, whose contents are discarded and whose
-  /// capacity is reused (typically a NUMA-local ChunkPool buffer). Without
-  /// a hook each body gets a fresh Bytes. kResync mode ignores the hook.
-  void set_buffer_lease(std::function<Bytes()> lease);
-
   /// Writes a credit grant for `grant` messages on the reverse direction of
   /// this connection (credit-based flow control; the paired PushSocket reads
   /// it via recv_credit). Call from the thread that owns this socket.
@@ -131,8 +126,7 @@ class PullSocket {
   MessageDecoder decoder_;  // kResync only
   Bytes read_buffer_;       // kResync only; sized on first use
   std::uint64_t bytes_received_ = 0;
-  std::function<Bytes()> lease_;
-  bool corrupt_ = false;
+  bool corrupt_ = false;  // kFail only; sticky
 };
 
 }  // namespace numastream

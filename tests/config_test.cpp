@@ -80,7 +80,6 @@ NodeConfig every_directive_config() {
   c.scrub.budget_records = 512;
   c.scrub.repair_concurrency = 2;
   c.fastpath.rings = true;
-  c.fastpath.pool_buffers = 32;
   constexpr int kOs = NumaBinding::kOsChoice;
   c.tasks = {
       TaskGroupConfig{.type = TaskType::kCompress,
@@ -122,7 +121,7 @@ constexpr const char* kEveryDirectiveGolden =
     "cooldown_windows=6 max_concurrent=2 drain_degraded=off\n"
     "scrub cadence_ms=1000 range_records=128 budget_records=512 "
     "repair_concurrency=2\n"
-    "fastpath rings=on pool_buffers=32\n"
+    "fastpath rings=on\n"
     "task compress count=8 exec=0,1 mem=os stream=0\n"
     "task send count=2 exec=1 mem=1 stream=0\n"
     "task compress count=4 exec=os mem=0\n";
@@ -185,7 +184,7 @@ TEST(ConfigValueParseTest, MalformedValuesAreParseErrors) {
   } kCases[] = {
       {"chunk_bytes -1", "chunk_bytes"},                  // wrapped to 2^64-1
       {"overload budget_bytes=-5", "budget_bytes"},       // wrapped to 2^64-5
-      {"fastpath pool_buffers=-1", "pool_buffers"},       // wrapped to 2^32-1
+      {"cluster vnodes=-1", "vnodes"},                    // wrapped to 2^32-1
       {"queue_capacity 12abc", "queue_capacity"},         // read as 12
       {"task compress count=1 stream=7x", "stream"},      // read as 7
       {"task compress count=3x", "count"},                // read as 3
@@ -291,7 +290,7 @@ NodeConfig random_config(Randomizer& random) {
               c.rebalance.max_concurrent, c.rebalance.drain_degraded);
   random.fill(c.scrub.cadence_ms, c.scrub.range_records, c.scrub.budget_records,
               c.scrub.repair_concurrency);
-  random.fill(c.fastpath.rings, c.fastpath.pool_buffers);
+  random.fill(c.fastpath.rings);
   c.tasks.resize(random.below(4));
   for (TaskGroupConfig& group : c.tasks) {
     random.fill(group.type, group.count, group.stream_id);

@@ -1,114 +1,18 @@
-// Fast-path subsystem tests (DESIGN.md §15): the NUMA-local chunk pool's
-// exactly-once accounting, the fastpath config directive, the StageChannel
-// dispatch wrapper, the control-frame size boundary, scatter-gather wire
-// equivalence, and the whole pooled pipeline over real sockets.
+// Fast-path subsystem tests (DESIGN.md §15): the fastpath config directive,
+// the StageChannel dispatch wrapper, and the whole ring pipeline over real
+// sockets.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <set>
 #include <thread>
-#include <vector>
 
-#include "codec/frame.h"
 #include "core/pipeline.h"
 #include "core/stage_channel.h"
-#include "data/chunk_pool.h"
 #include "metrics/fastpath_counters.h"
-#include "msg/inproc.h"
-#include "msg/socket.h"
 #include "msg/tcp.h"
-#include "msg/transport.h"
 #include "topo/discover.h"
 
 namespace numastream {
 namespace {
-
-// ---------------------------------------------------------------- pool
-
-TEST(ChunkPoolTest, MissThenRecycleThenHit) {
-  FastPathCounters counters;
-  ChunkPool pool(1, 4, &counters);
-  Bytes first = pool.lease(0, 100);
-  EXPECT_EQ(first.size(), 100U);
-  auto snap = counters.snapshot();
-  EXPECT_EQ(snap.pool_leases, 1U);
-  EXPECT_EQ(snap.pool_misses, 1U);
-  EXPECT_EQ(snap.pool_hits, 0U);
-
-  first.resize(100);
-  pool.recycle(0, std::move(first));
-  Bytes second = pool.lease(0, 64);
-  EXPECT_EQ(second.size(), 64U);
-  snap = counters.snapshot();
-  EXPECT_EQ(snap.pool_leases, 2U);
-  EXPECT_EQ(snap.pool_hits, 1U);
-  EXPECT_EQ(snap.pool_recycles, 1U);
-}
-
-TEST(ChunkPoolTest, UnknownDomainClampsToShelfZero) {
-  FastPathCounters counters;
-  ChunkPool pool(2, 4, &counters);
-  pool.recycle(-1, Bytes(32, 0x1));  // kOsChoice domain lands on shelf 0
-  Bytes leased = pool.lease(-1, 32);
-  EXPECT_EQ(counters.snapshot().pool_hits, 1U);
-  // Out-of-range domains wrap instead of crashing.
-  pool.recycle(7, std::move(leased));
-  (void)pool.lease(7, 16);
-  EXPECT_EQ(counters.snapshot().pool_hits, 2U);
-}
-
-TEST(ChunkPoolTest, FullShelfDiscardsInsteadOfGrowing) {
-  FastPathCounters counters;
-  ChunkPool pool(1, 2, &counters);
-  pool.recycle(0, Bytes(8, 0x1));
-  pool.recycle(0, Bytes(8, 0x2));
-  pool.recycle(0, Bytes(8, 0x3));  // shelf holds 2; the third is freed
-  const auto snap = counters.snapshot();
-  EXPECT_EQ(snap.pool_recycles, 2U);
-  EXPECT_EQ(snap.pool_discards, 1U);
-}
-
-TEST(ChunkPoolTest, EmptyBufferIsDiscardedNotShelved) {
-  FastPathCounters counters;
-  ChunkPool pool(1, 4, &counters);
-  pool.recycle(0, Bytes());
-  EXPECT_EQ(counters.snapshot().pool_recycles, 0U);
-  EXPECT_EQ(counters.snapshot().pool_hits + counters.snapshot().pool_misses,
-            counters.snapshot().pool_leases);
-}
-
-TEST(ChunkPoolTest, ExactlyOnceAccountingUnderChaos) {
-  // Threads lease and recycle across domains at random-ish interleavings;
-  // some buffers are dropped on the floor (the crash/shed path). The
-  // ledger must stay exact: every lease is a hit or a miss, and nothing
-  // is recycled or discarded that was never leased back.
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 2000;
-  FastPathCounters counters;
-  ChunkPool pool(2, 8, &counters);
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&pool, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const int domain = (t + i) % 2;
-        Bytes buffer = pool.lease(domain, 64 + static_cast<std::size_t>(i % 7));
-        ASSERT_EQ(buffer.size(), 64U + static_cast<std::size_t>(i % 7));
-        if (i % 5 != 0) {  // every 5th buffer is dropped on the floor
-          pool.recycle(domain, std::move(buffer));
-        }
-      }
-    });
-  }
-  for (auto& w : workers) {
-    w.join();
-  }
-  const auto snap = counters.snapshot();
-  EXPECT_EQ(snap.pool_leases,
-            static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_EQ(snap.pool_hits + snap.pool_misses, snap.pool_leases);
-  EXPECT_LE(snap.pool_recycles + snap.pool_discards, snap.pool_leases);
-  EXPECT_GT(snap.pool_hits, 0U);  // steady state actually recycled
-}
 
 // --------------------------------------------------------------- config
 
@@ -127,9 +31,8 @@ TEST(FastPathConfigTest, RoundTripsThroughText) {
   config.role = NodeRole::kSender;
   config.tasks = {TaskGroupConfig{.type = TaskType::kSend, .count = 1}};
   config.fastpath.rings = true;
-  config.fastpath.pool_buffers = 6;
   const std::string text = config.serialize();
-  EXPECT_NE(text.find("fastpath rings=on pool_buffers=6"), std::string::npos);
+  EXPECT_NE(text.find("fastpath rings=on\n"), std::string::npos);
   auto parsed = NodeConfig::parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().fastpath, config.fastpath);
@@ -138,9 +41,20 @@ TEST(FastPathConfigTest, RoundTripsThroughText) {
 TEST(FastPathConfigTest, DuplicateDirectiveRejected) {
   const auto status = NodeConfig::parse(
       "node n\nrole sender\ntask send count=1\n"
-      "fastpath rings=on\nfastpath pool_buffers=2\n");
+      "fastpath rings=on\nfastpath rings=off\n");
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FastPathConfigTest, PoolBuffersAttributeRejected) {
+  // The chunk pool is gone; its attribute is a parse error naming it, as
+  // the removed `chaos` directive is.
+  const auto result = NodeConfig::parse(
+      "node n\nrole sender\ntask send count=1\nfastpath pool_buffers=4\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("pool_buffers"), std::string::npos)
+      << result.status().message();
 }
 
 TEST(FastPathConfigTest, RingsRejectEvictingShedPolicies) {
@@ -169,7 +83,7 @@ TEST(FastPathConfigTest, RingsRejectEvictingShedPolicies) {
       "node n\nrole sender\ntask send count=1\n"
       "overload budget_bytes=0 credit_window=0 shed=drop_newest "
       "high_watermark=4 low_watermark=2\n"
-      "fastpath rings=on pool_buffers=4\n");
+      "fastpath rings=on\n");
   ASSERT_TRUE(compatible.ok());
   EXPECT_TRUE(compatible.value().validate(topo.value()).is_ok());
 }
@@ -219,65 +133,7 @@ TEST(StageChannelTest, RingModeCancelViaSignal) {
   consumer.join();
 }
 
-// ------------------------------------------------- control-frame bounds
-
-std::vector<ResumePoint> make_points(std::size_t count) {
-  std::vector<ResumePoint> points;
-  points.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    points.push_back(ResumePoint{static_cast<std::uint32_t>(i), i});
-  }
-  return points;
-}
-
-TEST(ControlFrameBoundaryTest, LargestFittingResumeFrameIsAccepted) {
-  // Resume body = 12 bytes prefix + 12 per point: 340 points = 4092 bytes,
-  // the largest whole frame under kMaxControlBody (4096).
-  InprocPair pair = make_inproc_pair(1 << 20);
-  PushSocket push(std::move(pair.first));
-  const Message frame = Message::resume_frame(77, make_points(340));
-  ASSERT_LE(frame.body.size(), kMaxControlBody);
-  ASSERT_TRUE(pair.second->write_all(encode_message(frame)).is_ok());
-  auto received = push.recv_control();
-  ASSERT_TRUE(received.ok()) << received.status().to_string();
-  EXPECT_TRUE(received.value().resume);
-  EXPECT_EQ(received.value().body.size(), frame.body.size());
-}
-
-TEST(ControlFrameBoundaryTest, OversizedControlFrameFailsLoudly) {
-  // One more point crosses the bound: the socket must fail the stream
-  // with DATA_LOSS naming the limit — never truncate or silently accept.
-  InprocPair pair = make_inproc_pair(1 << 20);
-  PushSocket push(std::move(pair.first));
-  const Message frame = Message::resume_frame(77, make_points(341));
-  ASSERT_GT(frame.body.size(), kMaxControlBody);
-  ASSERT_TRUE(pair.second->write_all(encode_message(frame)).is_ok());
-  auto received = push.recv_control();
-  ASSERT_FALSE(received.ok());
-  EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(received.status().to_string().find("kMaxControlBody"),
-            std::string::npos);
-}
-
-// --------------------------------------------- scatter-gather equivalence
-
-TEST(ScatterGatherTest, WireBytesIdenticalToEncodeMessage) {
-  // PushSocket::send writes header and payload as separate iovecs; the
-  // bytes on the wire must still be exactly encode_message's.
-  InprocPair pair = make_inproc_pair(1 << 20);
-  PushSocket push(std::move(pair.first));
-  Message message;
-  message.stream_id = 3;
-  message.sequence = 41;
-  message.body = Bytes(10000, 0x5a);
-  const Bytes expected = encode_message(message);
-  ASSERT_TRUE(push.send(message).is_ok());
-  Bytes wire(expected.size());
-  ASSERT_TRUE(read_exact(*pair.second, wire).is_ok());
-  EXPECT_EQ(wire, expected);
-}
-
-// ---------------------------------------------------- pooled pipeline
+// ------------------------------------------------------ ring pipeline
 
 TEST(FastpathPipelineTest, FullPipelineWithRingsAndPool) {
   auto topo_result = discover_topology();
@@ -297,7 +153,6 @@ TEST(FastpathPipelineTest, FullPipelineWithRingsAndPool) {
       TaskGroupConfig{.type = TaskType::kSend, .count = 2},
   };
   sender_config.fastpath.rings = true;
-  sender_config.fastpath.pool_buffers = 4;
   NodeConfig receiver_config;
   receiver_config.node_name = "fp-receiver";
   receiver_config.role = NodeRole::kReceiver;
@@ -307,7 +162,6 @@ TEST(FastpathPipelineTest, FullPipelineWithRingsAndPool) {
       TaskGroupConfig{.type = TaskType::kDecompress, .count = 2},
   };
   receiver_config.fastpath.rings = true;
-  receiver_config.fastpath.pool_buffers = 4;
 
   auto listener = TcpListener::bind("127.0.0.1", 0);
   ASSERT_TRUE(listener.ok());
@@ -337,13 +191,9 @@ TEST(FastpathPipelineTest, FullPipelineWithRingsAndPool) {
   EXPECT_EQ(stats.value().corrupt_frames, 0U);
   EXPECT_EQ(stats.value().wire_bytes, sender_stats.wire_bytes);
 
-  // The fastpath actually ran: every chunk crossed a ring on both ends,
-  // and the sender-side pool reached steady-state recycling.
+  // The fastpath actually ran: every chunk crossed a ring on both ends.
   EXPECT_EQ(sender_stats.fastpath.ring_pushes, kChunks);
   EXPECT_EQ(stats.value().fastpath.ring_pushes, kChunks);
-  EXPECT_EQ(sender_stats.fastpath.pool_leases, kChunks);
-  EXPECT_GT(sender_stats.fastpath.pool_hits, 0U);
-  EXPECT_GT(stats.value().fastpath.pool_leases, 0U);
 }
 
 TEST(FastpathPipelineTest, MutexModeStatsStayZero) {
@@ -394,9 +244,7 @@ TEST(FastpathPipelineTest, MutexModeStatsStayZero) {
   sender_thread.join();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(sender_stats.fastpath.ring_pushes, 0U);
-  EXPECT_EQ(sender_stats.fastpath.pool_leases, 0U);
   EXPECT_EQ(stats.value().fastpath.ring_pushes, 0U);
-  EXPECT_EQ(stats.value().fastpath.pool_leases, 0U);
 }
 
 }  // namespace

@@ -310,28 +310,18 @@ struct FastPathLedger {
   static TextTable table(const Snapshot& s, bool nonzero_only) {
     return fastpath_table(s, nonzero_only);
   }
-  static constexpr const char* kDense =
-      "ring_pushes=1 ring_parks=2 pool_leases=3 pool_hits=4 pool_misses=5 "
-      "pool_recycles=6 pool_discards=7";
+  static constexpr const char* kDense = "ring_pushes=1 ring_parks=2";
   static constexpr const char* kDenseTable = R"(
-counter        count
---------------------
-ring_pushes        1
-ring_parks         2
-pool_leases        3
-pool_hits          4
-pool_misses        5
-pool_recycles      6
-pool_discards      7
+counter      count
+------------------
+ring_pushes      1
+ring_parks       2
 )";
-  static constexpr const char* kSparse =
-      "ring_parks=2 pool_hits=4 pool_recycles=6";
+  static constexpr const char* kSparse = "ring_parks=2";
   static constexpr const char* kSparseTable = R"(
-counter        count
---------------------
-ring_parks         2
-pool_hits          4
-pool_recycles      6
+counter     count
+-----------------
+ring_parks      2
 )";
 };
 

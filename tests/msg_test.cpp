@@ -726,6 +726,9 @@ class ScriptedStream final : public ByteStream {
   /// of a body the receiver had sized before the bytes arrived.
   [[nodiscard]] std::size_t largest_request() const { return largest_request_; }
 
+  /// Bytes of the wire image served so far.
+  [[nodiscard]] std::size_t consumed() const { return offset_; }
+
  private:
   Bytes wire_;
   std::vector<std::size_t> reads_;
@@ -918,6 +921,110 @@ TEST(PullSocketStrictTest, MatchesMessageDecoder) {
       expect_same_message(pulled[i], sent[i]);
     }
   }
+}
+
+// ------------------------------------------------- control-frame bounds
+
+std::vector<ResumePoint> make_points(std::size_t count) {
+  std::vector<ResumePoint> points;
+  points.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    points.push_back(ResumePoint{static_cast<std::uint32_t>(i), i});
+  }
+  return points;
+}
+
+TEST(ControlFrameBoundaryTest, LargestFittingResumeFrameIsAccepted) {
+  // Resume body = 12 bytes prefix + 12 per point: 340 points = 4092 bytes,
+  // the largest whole frame under kMaxControlBody (4096).
+  InprocPair pair = make_inproc_pair(1 << 20);
+  PushSocket push(std::move(pair.first));
+  const Message frame = Message::resume_frame(77, make_points(340));
+  ASSERT_LE(frame.body.size(), kMaxControlBody);
+  ASSERT_TRUE(pair.second->write_all(encode_message(frame)).is_ok());
+  auto received = push.recv_control();
+  ASSERT_TRUE(received.ok()) << received.status().to_string();
+  EXPECT_TRUE(received.value().resume);
+  EXPECT_EQ(received.value().body.size(), frame.body.size());
+}
+
+TEST(ControlFrameBoundaryTest, OversizedControlFrameFailsLoudly) {
+  // One more point crosses the bound: the socket must fail the stream
+  // with DATA_LOSS naming the limit — never truncate or silently accept.
+  InprocPair pair = make_inproc_pair(1 << 20);
+  PushSocket push(std::move(pair.first));
+  const Message frame = Message::resume_frame(77, make_points(341));
+  ASSERT_GT(frame.body.size(), kMaxControlBody);
+  ASSERT_TRUE(pair.second->write_all(encode_message(frame)).is_ok());
+  auto received = push.recv_control();
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(received.status().to_string().find("kMaxControlBody"),
+            std::string::npos);
+}
+
+// --------------------------------------------- scatter-gather equivalence
+
+TEST(ScatterGatherTest, WireBytesIdenticalToEncodeMessage) {
+  // PushSocket::send writes header and payload as separate iovecs; the
+  // bytes on the wire must still be exactly encode_message's.
+  InprocPair pair = make_inproc_pair(1 << 20);
+  PushSocket push(std::move(pair.first));
+  Message message;
+  message.stream_id = 3;
+  message.sequence = 41;
+  message.body = Bytes(10000, 0x5a);
+  const Bytes expected = encode_message(message);
+  ASSERT_TRUE(push.send(message).is_ok());
+  Bytes wire(expected.size());
+  ASSERT_TRUE(read_exact(*pair.second, wire).is_ok());
+  EXPECT_EQ(wire, expected);
+}
+
+
+// A peer declares a RESUME body far over kMaxControlBody, sends half of it
+// and hangs up. The control path must reject the frame from its header,
+// before it reads (or buffers) a byte of the body.
+TEST(ControlFrameBoundaryTest, OversizedDeclaredBodyIsRejectedFromItsHeader) {
+  constexpr std::size_t kDeclared = 2 << 20;
+  const Message frame = Message::resume_frame(77, make_points(1));
+  Bytes wire = encode_message(frame);
+  wire.resize(kMessageHeaderSize);
+  store_le64(wire.data() + 20, kDeclared);
+  wire.resize(kMessageHeaderSize + kDeclared / 2, 0x5a);
+  auto stream = std::make_unique<ScriptedStream>(
+      wire, std::vector<std::size_t>{kWholeRead});
+  const ScriptedStream& script = *stream;
+  PushSocket push(std::move(stream));
+  auto received = push.recv_control();
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(received.status().to_string().find("kMaxControlBody"),
+            std::string::npos)
+      << received.status().to_string();
+  EXPECT_EQ(script.consumed(), kMessageHeaderSize);
+}
+
+// A reverse channel cut inside a control frame is a closed channel, as a
+// clean close is: UNAVAILABLE, which the sender answers by redialing.
+TEST(PushSocketControlTest, CutInsideAFrameIsUnavailable) {
+  const Bytes credit = encode_message(Message::credit_grant(5));
+  const Bytes resume = encode_message(Message::resume_frame(9, make_points(3)));
+  for (const Bytes* frame : {&credit, &resume}) {
+    for (std::size_t cut = 1; cut < frame->size(); ++cut) {
+      PushSocket push(std::make_unique<ScriptedStream>(
+          Bytes(frame->begin(), frame->begin() + static_cast<std::ptrdiff_t>(cut)),
+          std::vector<std::size_t>{kWholeRead}));
+      EXPECT_EQ(push.recv_control().status().code(), StatusCode::kUnavailable)
+          << "cut at " << cut << " of " << frame->size();
+    }
+  }
+  PushSocket push(std::make_unique<ScriptedStream>(
+      credit, std::vector<std::size_t>{1}));
+  auto whole = push.recv_credit();
+  ASSERT_TRUE(whole.ok()) << whole.status().to_string();
+  EXPECT_EQ(whole.value(), 5U);
+  EXPECT_EQ(push.recv_control().status().code(), StatusCode::kUnavailable);
 }
 
 }  // namespace
